@@ -42,11 +42,9 @@
 #include <string>
 #include <vector>
 
-#include "baselines/baselines.hpp"
-#include "core/improved_scheduler.hpp"
+#include "algorithms/table.hpp"
 #include "core/instance.hpp"
 #include "core/lower_bounds.hpp"
-#include "core/sos_scheduler.hpp"
 #include "core/validator.hpp"
 #include "exact/exact_sos.hpp"
 #include "harness.hpp"
@@ -59,29 +57,12 @@ namespace {
 
 using namespace sharedres;
 
-struct Contender {
-  const char* name;
-  core::Schedule (*run)(const core::Instance&);
-};
-
-core::Schedule run_improved(const core::Instance& inst) {
-  return core::schedule_improved(inst);
-}
-core::Schedule run_window(const core::Instance& inst) {
-  return core::schedule_sos(inst);
-}
-core::Schedule run_gg(const core::Instance& inst) {
-  return baselines::schedule_garey_graham(inst);
-}
-core::Schedule run_equalsplit(const core::Instance& inst) {
-  return baselines::schedule_equal_split(inst);
-}
-
-constexpr Contender kContenders[] = {
-    {"improved", run_improved},
-    {"window", run_window},
-    {"gg", run_gg},
-    {"equalsplit", run_equalsplit},
+/// The four contenders in report order, each a row of the algorithm table.
+const core::Algorithm* const kContenders[] = {
+    &algorithms::require("improved"),
+    &algorithms::require("window"),
+    &algorithms::require("gg"),
+    &algorithms::require("equalsplit"),
 };
 
 [[noreturn]] void die(const std::string& what) {
@@ -102,13 +83,15 @@ std::string ppm_str(std::int64_t ppm) {
 }
 
 /// Validated makespan of `contender` on `inst`; aborts on any violation.
-core::Time contest(const Contender& contender, const core::Instance& inst,
-                   const std::string& cell) {
-  const core::Schedule sched = contender.run(inst);
+core::Time contest(const core::Algorithm* contender,
+                   const core::Instance& inst, const std::string& cell) {
+  core::EngineScratch scratch;
+  core::Schedule sched;
+  core::solve(*contender, inst, scratch, sched);
   const auto check = core::validate(inst, sched);
   if (!check.ok) {
-    die(cell + "/" + contender.name + ": infeasible schedule: " +
-        check.error);
+    die(cell + "/" + std::string(contender->name) +
+        ": infeasible schedule: " + check.error);
   }
   return sched.makespan();
 }
@@ -177,10 +160,10 @@ int main(int argc, char** argv) {
           }
         }
         for (std::size_t a = 0; a < kAlgos; ++a) {
-          table.add(family, machines, kContenders[a].name,
+          table.add(family, machines, std::string(kContenders[a]->name),
                     ppm_str(scores[a].worst_ppm), scores[a].makespan_sum);
           publish("tournament." + family + ".m" + std::to_string(machines) +
-                      "." + kContenders[a].name,
+                      "." + std::string(kContenders[a]->name),
                   scores[a]);
         }
       }
@@ -207,7 +190,7 @@ int main(int argc, char** argv) {
       for (std::size_t a = 0; a < kAlgos; ++a) {
         makespans[a] = contest(kContenders[a], inst, cell);
         if (makespans[a] < *opt) {
-          die(cell + "/" + kContenders[a].name +
+          die(cell + "/" + std::string(kContenders[a]->name) +
               ": makespan below the exact optimum");
         }
         exact_scores[a].absorb(makespans[a], *opt);
@@ -218,10 +201,10 @@ int main(int argc, char** argv) {
     }
   }, static_cast<double>(seeds));
   for (std::size_t a = 0; a < kAlgos; ++a) {
-    exact_table.add(kContenders[a].name,
+    exact_table.add(std::string(kContenders[a]->name),
                     ppm_str(exact_scores[a].worst_ppm),
                     exact_scores[a].makespan_sum, opt_sum);
-    publish(std::string("tournament.exact.") + kContenders[a].name,
+    publish("tournament.exact." + std::string(kContenders[a]->name),
             exact_scores[a]);
   }
 

@@ -1,7 +1,7 @@
 // Fuzz harness for the batch NDJSON layer (src/batch/).
 //
-// The first input byte selects the batch algorithm and whether schedules
-// are embedded; the rest is fed twice:
+// The first input byte selects the batch algorithm (a row of the algorithm
+// table) and whether schedules are embedded; the rest is fed twice:
 //
 //   1. line by line through parse_instance_record, asserting the record
 //      contract: rejection is a typed exception (util::Error,
@@ -22,6 +22,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "algorithms/table.hpp"
 #include "batch/pipeline.hpp"
 #include "batch/stream.hpp"
 #include "util/error.hpp"
@@ -68,10 +69,9 @@ void fuzz_records(const std::string& doc) {
 }
 
 void fuzz_pipeline(std::uint8_t selector, const std::string& doc) {
-  static const char* const kAlgorithms[] = {"window", "unit", "gg",
-                                            "equalsplit", "sequential"};
+  const auto rows = sharedres::algorithms::all();
   batch::BatchOptions options;
-  options.algorithm = kAlgorithms[selector % 5];
+  options.algorithm = rows[(selector & 0x7f) % rows.size()]->name;
   options.emit_schedules = (selector & 0x80) != 0;
   options.threads = 1;
   options.queue_capacity = 4;

@@ -135,6 +135,11 @@ printf '# sharedres instance v2\nmachines 2\nresources 2\ncapacity 10 4\njobs 1\
   >/dev/null 2>&1
 expect "solve multires oversized secondary requirement" 3 $?
 
+# A single-resource algorithm rejects a d=2 instance up front: typed input
+# error, not an internal failure on the infeasible schedule it would make.
+"$CLI" solve --instance="$tmp/inst-d2.txt" --algorithm=window >/dev/null 2>&1
+expect "solve window on a d=2 instance" 3 $?
+
 # --parallel stays a unit-engine-only flag.
 "$CLI" solve --instance="$tmp/inst.txt" --algorithm=improved --parallel=2 \
   >/dev/null 2>&1

@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 
+#include "algorithms/table.hpp"
 #include "batch/emitter.hpp"
 #include "batch/stream.hpp"
 #include "batch/worker.hpp"
@@ -24,21 +25,9 @@
 
 namespace sharedres::batch {
 
-namespace {
-
-bool blank(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-}  // namespace
-
 BatchSummary run_batch(std::istream& in, std::ostream& out,
                        const BatchOptions& options) {
-  const std::string& a = options.algorithm;
-  if (a != "window" && a != "unit" && a != "improved" && a != "gg" &&
-      a != "equalsplit" && a != "sequential" && a != "multires") {
-    throw util::Error::cli("algorithm", "unknown algorithm '" + a + "'");
-  }
+  (void)algorithms::require(options.algorithm);
 
   WorkOptions work_options;
   work_options.algorithm = options.algorithm;
@@ -66,7 +55,7 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     // path by construction (same process_record, same emitter).
     scratch.emplace_back();
     while (std::getline(in, line)) {
-      if (blank(line)) continue;
+      if (blank_line(line)) continue;
       // A dead sink (EPIPE, disk full) stops the batch: solving records
       // whose results can never be delivered is wasted work.
       if (emitter.failed()) break;
@@ -88,7 +77,7 @@ BatchSummary run_batch(std::istream& in, std::ostream& out,
     util::WorkerPool pool(options.threads, options.queue_capacity);
     for (std::size_t w = 0; w < pool.threads(); ++w) scratch.emplace_back();
     while (std::getline(in, line)) {
-      if (blank(line)) continue;
+      if (blank_line(line)) continue;
       // Stop scheduling into a dead sink; records already queued still run
       // (their emits are dropped by the failed emitter).
       if (emitter.failed()) break;

@@ -33,8 +33,8 @@
 // util::Error (kIo) once in-flight work drains — or when a library
 // invariant breaks (std::logic_error — a bug, not bad input).
 //
-// Scratch reuse: each worker owns one SosEngine, one UnitEngine and one
-// Schedule, rebound per record via their reset() APIs, so the steady-state
+// Scratch reuse: each worker owns one core::EngineScratch and one Schedule,
+// rebound per record via the engines' reset() APIs, so the steady-state
 // allocations per record are the parsed Instance and the per-block share
 // vectors the engines move into the schedule — engine-internal buffers are
 // recycled across the whole batch.
@@ -59,9 +59,8 @@
 namespace sharedres::batch {
 
 struct BatchOptions {
-  /// window | unit | gg | equalsplit | sequential | multires (the solve
-  /// command's
-  /// algorithm names). Validated by run_batch (util::Error, kCliUsage).
+  /// A row name of the algorithm table (algorithms/table.hpp). Validated by
+  /// run_batch (util::Error, kCliUsage).
   std::string algorithm = "window";
   /// Worker threads; <= 1 runs fully inline on the caller thread (no pool,
   /// no locks — the path the fuzz harness drives).

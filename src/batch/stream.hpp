@@ -44,6 +44,12 @@ struct InstanceRecord {
 /// Instance construction errors (kInvalidInstance, kOverflow) propagate.
 [[nodiscard]] InstanceRecord parse_instance_record(const std::string& line);
 
+/// A line of only spaces, tabs and CRs carries no record: batch and serve
+/// skip it without consuming an index.
+[[nodiscard]] inline bool blank_line(const std::string& line) {
+  return line.find_first_not_of(" \t\r") == std::string::npos;
+}
+
 /// Inverse of parse_instance_record: one compact NDJSON line (no trailing
 /// newline), jobs in the caller's original order. parse(format(x)) yields an
 /// instance equal to x.

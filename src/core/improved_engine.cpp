@@ -4,10 +4,9 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/engine_driver.hpp"
 #include "obs/registry.hpp"
 #include "util/checked.hpp"
-#include "util/deadline.hpp"
-#include "util/failpoint.hpp"
 
 namespace sharedres::core {
 
@@ -177,20 +176,13 @@ void ImprovedEngine::finish_job(JobId j) {
 
 StepInfo ImprovedEngine::make_info(const BalancedStep& planned,
                                    Time first_step) const {
-  StepInfo info;
-  info.first_step = first_step;
-  info.repeat = 1;
-  info.shares = planned.shares;
+  StepInfo info = shares_info(planned.shares, first_step, reqs_);
   info.window_size = active_.size();
   info.window_requirement = core_req_;
   if (absorber_ != kNoJob) {
     info.window_requirement =
         util::add_checked(info.window_requirement, req(absorber_));
     info.fractured = absorber_;
-  }
-  for (const Assignment& a : planned.shares) {
-    info.resource_used = util::add_checked(info.resource_used, a.share);
-    if (a.share == req(a.job)) ++info.full_requirement_jobs;
   }
   info.step_case = info.resource_used >= params_.budget ? StepCase::kHeavy
                                                         : StepCase::kLight;
@@ -199,80 +191,38 @@ StepInfo ImprovedEngine::make_info(const BalancedStep& planned,
 
 void ImprovedEngine::run(Schedule& out, bool fast_forward,
                          StepObserver* observer) {
-  BalancedStep planned;
-  BalancedStep again;
-  out.reserve_blocks(remaining_jobs_ + 1);
-  // Strong exception guarantee for `out`, same contract as SosEngine::run.
-  const Schedule::Mark mark = out.mark();
-  try {
-    run_loop(out, fast_forward, observer, planned, again);
-  } catch (...) {
-    out.rollback(mark);
-    throw;
-  }
-  publish_stats();
+  EngineDriver::run(*this, out, fast_forward, observer);
 }
 
-void ImprovedEngine::run_loop(Schedule& out, bool fast_forward,
-                              StepObserver* observer, BalancedStep& planned,
-                              BalancedStep& again) {
-  while (!done()) {
-    SHAREDRES_FAILPOINT("improved_engine.step");
-    util::deadline::check("improved_engine.step");
-    prepare_step();
-    plan_into(planned);
-    const Time first_step = now_ + 1;
-    StepInfo info;
-    if (observer != nullptr) info = make_info(planned, first_step);
-    const bool machine_full = active_.size() == params_.machine_cap;
-    const bool drained = unstarted_ == 0;
-    Res used = 0;
-    if (obs::enabled()) {
-      for (const Assignment& a : planned.shares) {
-        used = util::add_checked(used, a.share);
-      }
-    }
-    const bool finished_any = apply(planned, 1);
-    Time reps = 1;
-
-    if (fast_forward && !finished_any && !done()) {
-      // No finish means the running set, the committed requirement, and the
-      // unstarted set are all unchanged, so prepare_step() would admit
-      // nothing — only the absorber's shrinking remaining work can alter
-      // the plan. If the re-planned step is identical it stays identical
-      // until the first finish: extend to just before it.
-      plan_into(again);
-      if (again.shares == planned.shares) {
-        Time until_change = std::numeric_limits<Time>::max();
-        for (const Assignment& a : planned.shares) {
-          until_change =
-              std::min(until_change, util::ceil_div(rem_[a.job], a.share));
-        }
-        const Time extra = until_change - 1;
-        if (extra > 0) {
-          apply(again, extra);
-          reps += extra;
-        }
-      }
-    }
-    if (obs::enabled()) {
-      const auto ureps = static_cast<std::uint64_t>(reps);
-      ++stats_.blocks;
-      stats_.steps += ureps;
-      stats_.fast_forward_steps += ureps - 1;
-      if (used == params_.budget) stats_.saturated_steps += ureps;
-      if (machine_full) stats_.machine_full_steps += ureps;
-      if (drained) stats_.drain_steps += ureps;
-    }
-
-    if (observer != nullptr) {
-      info.repeat = reps;
-      out.append(reps, planned.shares);
-      observer->on_step(info);
-    } else {
-      out.append(reps, std::move(planned.shares));
-    }
+/// No finish means the running set, the committed requirement, and the
+/// unstarted set are all unchanged, so prepare_step() would admit nothing —
+/// only the absorber's shrinking remaining work can alter the plan, and an
+/// identical re-plan stays identical until the first finish.
+Time ImprovedEngine::steps_until_change(const BalancedStep& again) const {
+  Time until_change = std::numeric_limits<Time>::max();
+  for (const Assignment& a : again.shares) {
+    until_change = std::min(until_change, util::ceil_div(rem_[a.job], a.share));
   }
+  return until_change;
+}
+
+/// The planned shares list exactly the jobs running in the block, and apply()
+/// never admits, so the block's facts read off `planned` and unstarted_.
+void ImprovedEngine::record_block(const BalancedStep& planned, Time reps) {
+  if (!obs::enabled()) return;
+  const auto ureps = static_cast<std::uint64_t>(reps);
+  Res used = 0;
+  for (const Assignment& a : planned.shares) {
+    used = util::add_checked(used, a.share);
+  }
+  ++stats_.blocks;
+  stats_.steps += ureps;
+  stats_.fast_forward_steps += ureps - 1;
+  if (used == params_.budget) stats_.saturated_steps += ureps;
+  if (planned.shares.size() == params_.machine_cap) {
+    stats_.machine_full_steps += ureps;
+  }
+  if (unstarted_ == 0) stats_.drain_steps += ureps;
 }
 
 void ImprovedEngine::publish_stats() {

@@ -109,8 +109,17 @@ class ImprovedEngine {
   void admit(JobId j, bool as_absorber);
   void finish_job(JobId j);
   StepInfo make_info(const BalancedStep& planned, Time first_step) const;
-  void run_loop(Schedule& out, bool fast_forward, StepObserver* observer,
-                BalancedStep& planned, BalancedStep& again);
+
+  // ---- EngineDriver hooks (core/engine_driver.hpp) ----
+  friend struct EngineDriver;
+  using Step = BalancedStep;
+  static constexpr const char* kStepSite = "improved_engine.step";
+  [[nodiscard]] std::size_t block_estimate() const {
+    return remaining_jobs_ + 1;
+  }
+  [[nodiscard]] static bool may_repeat(const BalancedStep&) { return true; }
+  [[nodiscard]] Time steps_until_change(const BalancedStep& again) const;
+  void record_block(const BalancedStep& planned, Time reps);
   void publish_stats();
 
   /// Deterministic run statistics (metric catalog: DESIGN.md §9), flushed to

@@ -22,8 +22,8 @@ struct ImprovedOptions {
 /// construction its makespan never exceeds schedule_sos's, so it inherits
 /// the proven 2 + 1/(m−2) bound while winning outright on the workloads the
 /// improved paper targets (requirement-bimodal, heavy-tailed, oversized
-/// mixes — see EXPERIMENTS.md E17). Requires m ≥ 2; throws
-/// std::invalid_argument otherwise.
+/// mixes — see EXPERIMENTS.md E17). Requires m ≥ 2 and one
+/// resource; throws util::Error (kInvalidInstance) otherwise.
 [[nodiscard]] Schedule schedule_improved(const Instance& instance,
                                          const ImprovedOptions& options = {});
 

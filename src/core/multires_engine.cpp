@@ -4,10 +4,9 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/engine_driver.hpp"
 #include "obs/registry.hpp"
 #include "util/checked.hpp"
-#include "util/deadline.hpp"
-#include "util/failpoint.hpp"
 
 namespace sharedres::core {
 
@@ -155,67 +154,40 @@ void MultiResEngine::finish_job(JobId j) {
 }
 
 void MultiResEngine::run(Schedule& out, bool fast_forward) {
-  MultiResStep planned;
-  MultiResStep again;
-  out.reserve_blocks(remaining_jobs_ + 1);
-  // Strong exception guarantee for `out`, same contract as SosEngine::run.
-  const Schedule::Mark mark = out.mark();
-  try {
-    run_loop(out, fast_forward, planned, again);
-  } catch (...) {
-    out.rollback(mark);
-    throw;
-  }
-  publish_stats();
+  EngineDriver::run(*this, out, fast_forward, nullptr);
 }
 
-void MultiResEngine::run_loop(Schedule& out, bool fast_forward,
-                              MultiResStep& planned, MultiResStep& again) {
-  while (!done()) {
-    SHAREDRES_FAILPOINT("multires_engine.step");
-    util::deadline::check("multires_engine.step");
-    prepare_step();
-    plan_into(planned);
-    const bool machine_full = active_.size() == params_.machine_cap;
-    const bool drained = unstarted_ == 0;
-    bool saturated = false;
-    if (obs::enabled()) {
-      for (std::size_t k = 0; k < axes_; ++k) {
-        saturated = saturated || used_[k] == inst_->capacity(k);
-      }
-    }
-    const bool finished_any = apply(planned, 1);
-    Time reps = 1;
-
-    if (fast_forward && !finished_any && !done()) {
-      // No finish means the running set, the per-axis usage, and the
-      // unstarted set are all unchanged, so prepare_step() would admit
-      // nothing and the re-planned step is identical until the first
-      // finish: extend to just before it.
-      plan_into(again);
-      if (again.shares == planned.shares) {
-        Time until_change = std::numeric_limits<Time>::max();
-        for (const Assignment& a : planned.shares) {
-          until_change = std::min(until_change, rem_steps_[a.job]);
-        }
-        const Time extra = until_change - 1;
-        if (extra > 0) {
-          apply(again, extra);
-          reps += extra;
-        }
-      }
-    }
-    if (obs::enabled()) {
-      const auto ureps = static_cast<std::uint64_t>(reps);
-      ++stats_.blocks;
-      stats_.steps += ureps;
-      stats_.fast_forward_steps += ureps - 1;
-      if (saturated) stats_.saturated_steps += ureps;
-      if (machine_full) stats_.machine_full_steps += ureps;
-      if (drained) stats_.drain_steps += ureps;
-    }
-    out.append(reps, std::move(planned.shares));
+/// No finish means the running set, the per-axis usage, and the unstarted
+/// set are all unchanged, so prepare_step() would admit nothing and the
+/// re-planned step is identical until the first finish.
+Time MultiResEngine::steps_until_change(const MultiResStep& again) const {
+  Time until_change = std::numeric_limits<Time>::max();
+  for (const Assignment& a : again.shares) {
+    until_change = std::min(until_change, rem_steps_[a.job]);
   }
+  return until_change;
+}
+
+/// The planned shares list exactly the jobs running in the block, and apply()
+/// never admits, so the block's facts read off `planned` and unstarted_.
+void MultiResEngine::record_block(const MultiResStep& planned, Time reps) {
+  if (!obs::enabled()) return;
+  const auto ureps = static_cast<std::uint64_t>(reps);
+  bool saturated = false;
+  for (std::size_t k = 0; k < axes_ && !saturated; ++k) {
+    const Res* reqs = inst_->axis_requirements(k);
+    Res used = 0;
+    for (const Assignment& a : planned.shares) used += reqs[a.job];
+    saturated = used == inst_->capacity(k);
+  }
+  ++stats_.blocks;
+  stats_.steps += ureps;
+  stats_.fast_forward_steps += ureps - 1;
+  if (saturated) stats_.saturated_steps += ureps;
+  if (planned.shares.size() == params_.machine_cap) {
+    stats_.machine_full_steps += ureps;
+  }
+  if (unstarted_ == 0) stats_.drain_steps += ureps;
 }
 
 void MultiResEngine::publish_stats() {

@@ -103,8 +103,17 @@ class MultiResEngine {
   [[nodiscard]] bool fits(JobId j) const;
   void admit(JobId j);
   void finish_job(JobId j);
-  void run_loop(Schedule& out, bool fast_forward, MultiResStep& planned,
-                MultiResStep& again);
+
+  // ---- EngineDriver hooks (core/engine_driver.hpp) ----
+  friend struct EngineDriver;
+  using Step = MultiResStep;
+  static constexpr const char* kStepSite = "multires_engine.step";
+  [[nodiscard]] std::size_t block_estimate() const {
+    return remaining_jobs_ + 1;
+  }
+  [[nodiscard]] static bool may_repeat(const MultiResStep&) { return true; }
+  [[nodiscard]] Time steps_until_change(const MultiResStep& again) const;
+  void record_block(const MultiResStep& planned, Time reps);
   void publish_stats();
 
   /// Deterministic run statistics (metric catalog: DESIGN.md §9), flushed to

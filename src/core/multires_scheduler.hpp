@@ -20,7 +20,7 @@ struct MultiResOptions {
 /// d > 1 the rigid first-fit MultiResEngine runs; every job must satisfy
 /// r_{j,k} ≤ C_k on every axis (rigid schedules grant full rate), otherwise
 /// util::Error with code kInvalidInstance is thrown. Requires m ≥ 2 like
-/// the other schedulers; throws std::invalid_argument otherwise.
+/// the other schedulers; throws util::Error (kInvalidInstance) otherwise.
 [[nodiscard]] Schedule schedule_multires(const Instance& instance,
                                          const MultiResOptions& options = {});
 

@@ -4,30 +4,12 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/engine_driver.hpp"
 #include "obs/registry.hpp"
-#include "util/deadline.hpp"
-#include "util/failpoint.hpp"
 
 namespace sharedres::core {
 
 namespace {
-
-/// True when a planned light-case (Case 2) step satisfies the Theorem 3.3
-/// dichotomy: every window job except at most one (the fractured ι) receives
-/// its full requirement. The Case-2 extra job is not a window member when
-/// the step is planned, so its share is excluded.
-[[maybe_unused]] bool light_step_fulfills_requirements(
-    const SosEngine& engine, const PlannedStep& planned) {
-  std::size_t partial = 0;
-  const std::vector<Res>& reqs = engine.instance().requirements();
-  const std::size_t window_shares =
-      planned.shares.size() - (planned.extra_job ? 1 : 0);
-  for (std::size_t i = 0; i < window_shares; ++i) {
-    const Assignment& a = planned.shares[i];
-    if (a.share != reqs[a.job]) ++partial;
-  }
-  return partial <= 1;
-}
 
 // Internal invariant check: these fire only on engine bugs, never on user
 // input, but throwing keeps test failures informative.
@@ -339,10 +321,7 @@ bool SosEngine::apply(const PlannedStep& planned, Time reps) {
 
 StepInfo SosEngine::make_info(const PlannedStep& planned,
                               Time first_step) const {
-  StepInfo info;
-  info.first_step = first_step;
-  info.repeat = 1;
-  info.shares = planned.shares;
+  StepInfo info = shares_info(planned.shares, first_step, reqs_);
   info.window_size = wsize_;
   info.window_requirement = wreq_;
   info.left_border = window_left_border();
@@ -350,10 +329,6 @@ StepInfo SosEngine::make_info(const PlannedStep& planned,
   info.step_case = planned.step_case;
   info.fractured = planned.fractured;
   info.extra_job_started = planned.extra_job;
-  for (const Assignment& a : planned.shares) {
-    info.resource_used = util::add_checked(info.resource_used, a.share);
-    if (a.share == req(a.job)) ++info.full_requirement_jobs;
-  }
   return info;
 }
 
@@ -366,26 +341,7 @@ StepInfo SosEngine::step() {
 }
 
 void SosEngine::run(Schedule& out, bool fast_forward, StepObserver* observer) {
-  // Hot path: the two PlannedSteps are scratch buffers reused across every
-  // block, so a block costs exactly one share-vector allocation — the one
-  // that ends up stored in the schedule. StepInfo (which copies the share
-  // vector) is only materialized when an observer is attached.
-  PlannedStep planned;
-  PlannedStep again;
-  out.reserve_blocks(remaining_jobs_ / (params_.window_cap + 1) + 1);
-  // Strong exception guarantee for `out`: if any step throws (overflow,
-  // invariant breach, injected fault), every block this run() appended —
-  // including length merged into a pre-existing block — is rolled back, so
-  // no partially-emitted schedule is observable. The engine itself is left
-  // in an unspecified state; callers recover by constructing a fresh engine.
-  const Schedule::Mark mark = out.mark();
-  try {
-    run_loop(out, fast_forward, observer, planned, again);
-  } catch (...) {
-    out.rollback(mark);
-    throw;
-  }
-  publish_stats();
+  EngineDriver::run(*this, out, fast_forward, observer);
 }
 
 void SosEngine::publish_stats() {
@@ -407,85 +363,62 @@ void SosEngine::publish_stats() {
   stats_ = {};
 }
 
-void SosEngine::run_loop(Schedule& out, bool fast_forward,
-                         StepObserver* observer, PlannedStep& planned,
-                         PlannedStep& again) {
-  while (!done()) {
-    SHAREDRES_FAILPOINT("sos_engine.step");
-    util::deadline::check("sos_engine.step");
-    prepare_step();
-    plan_into(planned);
-    const Time first_step = now_ + 1;
-    StepInfo info;
-    if (observer != nullptr) info = make_info(planned, first_step);
-    const bool finished_any = apply(planned, 1);
-    Time reps = 1;
-
-    if (fast_forward && !finished_any && !planned.extra_job && !done()) {
-      // The window cannot have changed (no job finished, every member is now
-      // started), so only the fracture pattern can alter the plan. If the
-      // re-planned step is identical, it stays identical until the first job
-      // finishes (see DESIGN.md §4): extend up to just before that finish.
-      plan_into(again);
-      if (again.shares == planned.shares) {
-        Time until_change = std::numeric_limits<Time>::max();
-        for (const Assignment& a : planned.shares) {
-          until_change =
-              std::min(until_change, util::ceil_div(rem_[a.job], a.share));
-        }
-        // A steady light-case block also ends when the fractured job's
-        // remainder hits an exact multiple of its requirement: the job
-        // unfractures mid-stream and the case split flips (caught by the
-        // fuzz suite; see tests/test_fuzz.cpp).
-        if (again.fractured) {
-          const JobId iota = *again.fractured;
-          Res sigma = 0;
-          for (const Assignment& a : again.shares) {
-            if (a.job == iota) sigma = a.share;
-          }
-          const Res q = rem_[iota] % req(iota);
-          ensure(q > 0 && sigma > 0, "steady block with unfractured iota");
-          if (sigma % req(iota) != 0) {
-            until_change = std::min(
-                until_change, first_unfracture_step(q, sigma, req(iota)));
-          }
-        }
-        const Time extra = until_change - 1;
-        if (extra > 0) {
-          apply(again, extra);
-          reps += extra;
-        }
-      }
+/// After a step with no finish and no extra job the window cannot have
+/// changed (every member is now started), so only the fracture pattern can
+/// alter the plan: an identical re-plan stays identical until the first
+/// finish (DESIGN.md §4) or until ι unfractures.
+Time SosEngine::steps_until_change(const PlannedStep& again) const {
+  Time until_change = std::numeric_limits<Time>::max();
+  for (const Assignment& a : again.shares) {
+    until_change = std::min(until_change, util::ceil_div(rem_[a.job], a.share));
+  }
+  // A steady light-case block also ends when the fractured job's remainder
+  // hits an exact multiple of its requirement: the job unfractures
+  // mid-stream and the case split flips (caught by the fuzz suite; see
+  // tests/test_fuzz.cpp).
+  if (again.fractured) {
+    const JobId iota = *again.fractured;
+    Res sigma = 0;
+    for (const Assignment& a : again.shares) {
+      if (a.job == iota) sigma = a.share;
     }
-    // Per-block deterministic stats (before the append below may move the
-    // share vector away): structural facts of the emitted schedule,
-    // independent of threads and wall time. Accumulated in plain fields;
-    // publish_stats() flushes once per run.
-    if (obs::enabled()) {
-      const auto ureps = static_cast<std::uint64_t>(reps);
-      ++stats_.blocks;
-      stats_.steps += ureps;
-      if (planned.step_case == StepCase::kHeavy) {
-        stats_.case1_steps += ureps;
-      } else {
-        stats_.case2_steps += ureps;
-        if (light_step_fulfills_requirements(*this, planned)) {
-          stats_.full_requirement_steps += ureps;
-        }
-      }
-      stats_.fast_forward_steps += ureps - 1;
-      if (planned.fractured) ++stats_.fractured_handoffs;
-      if (planned.extra_job) ++stats_.extra_job_starts;
-    }
-
-    if (observer != nullptr) {
-      info.repeat = reps;
-      out.append(reps, planned.shares);
-      observer->on_step(info);
-    } else {
-      out.append(reps, std::move(planned.shares));
+    const Res q = rem_[iota] % req(iota);
+    ensure(q > 0 && sigma > 0, "steady block with unfractured iota");
+    if (sigma % req(iota) != 0) {
+      until_change =
+          std::min(until_change, first_unfracture_step(q, sigma, req(iota)));
     }
   }
+  return until_change;
+}
+
+/// Per-block deterministic stats: structural facts of the emitted schedule,
+/// independent of threads and wall time. Accumulated in plain fields;
+/// publish_stats() flushes once per run.
+void SosEngine::record_block(const PlannedStep& planned, Time reps) {
+  if (!obs::enabled()) return;
+  const auto ureps = static_cast<std::uint64_t>(reps);
+  ++stats_.blocks;
+  stats_.steps += ureps;
+  if (planned.step_case == StepCase::kHeavy) {
+    stats_.case1_steps += ureps;
+  } else {
+    stats_.case2_steps += ureps;
+    // The Theorem 3.3 dichotomy: every window job but at most the fractured
+    // ι gets its full requirement. The Case-2 extra job is not a window
+    // member when the step is planned, so its share is excluded.
+    std::size_t partial = 0;
+    const std::size_t window_shares =
+        planned.shares.size() - (planned.extra_job ? 1 : 0);
+    for (std::size_t i = 0; i < window_shares; ++i) {
+      const Assignment& a = planned.shares[i];
+      if (a.share != req(a.job)) ++partial;
+    }
+    if (partial <= 1) stats_.full_requirement_steps += ureps;
+  }
+  stats_.fast_forward_steps += ureps - 1;
+  if (planned.fractured) ++stats_.fractured_handoffs;
+  if (planned.extra_job) ++stats_.extra_job_starts;
 }
 
 }  // namespace sharedres::core

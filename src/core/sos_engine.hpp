@@ -124,8 +124,20 @@ class SosEngine {
   void add_right(JobId j);
   void finish_job(JobId j);
   StepInfo make_info(const PlannedStep& planned, Time first_step) const;
-  void run_loop(Schedule& out, bool fast_forward, StepObserver* observer,
-                PlannedStep& planned, PlannedStep& again);
+
+  // ---- EngineDriver hooks (core/engine_driver.hpp) ----
+  friend struct EngineDriver;
+  using Step = PlannedStep;
+  static constexpr const char* kStepSite = "sos_engine.step";
+  [[nodiscard]] std::size_t block_estimate() const {
+    return remaining_jobs_ / (params_.window_cap + 1) + 1;
+  }
+  /// The Case-2 extra job changes the window, so its step never repeats.
+  [[nodiscard]] static bool may_repeat(const PlannedStep& planned) {
+    return !planned.extra_job;
+  }
+  [[nodiscard]] Time steps_until_change(const PlannedStep& again) const;
+  void record_block(const PlannedStep& planned, Time reps);
   void publish_stats();
 
   /// Deterministic run statistics (metric catalog: DESIGN.md §9). The hot

@@ -35,14 +35,15 @@ struct SosOptions {
 /// Listing 1: the 2 + 1/(m−2) approximation for jobs of arbitrary size.
 /// Uses (m−1)-maximal windows and reserves the m-th processor for Case-2
 /// leftovers. Requires m ≥ 2 (the ratio guarantee of Theorem 3.3 needs
-/// m ≥ 3); throws std::invalid_argument otherwise.
+/// m ≥ 3) and one resource; throws util::Error (kInvalidInstance) otherwise.
 [[nodiscard]] Schedule schedule_sos(const Instance& instance,
                                     const SosOptions& options = {});
 
 /// The Section-3 unit-size modification: m-maximal windows, the single
 /// started job is treated as a job of requirement s_ι(t−1) and virtually
 /// reordered. Asymptotic ratio 1 + 1/(m−1); concretely
-/// |S| ≤ m/(m−1)·|OPT| + 1. Requires m ≥ 2 and all p_j = 1.
+/// |S| ≤ m/(m−1)·|OPT| + 1. Requires m ≥ 2, all p_j = 1 and one resource;
+/// throws util::Error (kInvalidInstance) otherwise.
 [[nodiscard]] Schedule schedule_sos_unit(const Instance& instance,
                                          const SosOptions& options = {});
 

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/engine_driver.hpp"
 #include "obs/registry.hpp"
-#include "util/deadline.hpp"
-#include "util/failpoint.hpp"
 
 namespace sharedres::core {
 
@@ -107,9 +106,8 @@ void UnitEngine::reposition_started(JobId j) {
   prev_[fnode] = j;
 }
 
-UnitEngine::StepPlan UnitEngine::build_window() const {
+void UnitEngine::build_window(Step& plan) const {
   ensure(remaining_jobs_ > 0, "build_window after completion");
-  StepPlan plan;
   // Start from the started job ι (the only survivor of the last window); if
   // the previous window completed fully, resume from the cursor it left
   // behind instead of restarting from the leftmost remaining job — the
@@ -162,75 +160,94 @@ UnitEngine::StepPlan UnitEngine::build_window() const {
   ensure(others < capacity_, "Property (b) violated by the unit window");
   plan.max_share = std::min(capacity_ - others, key(plan.wr));
   ensure(plan.max_share > 0, "unit window assigns max W a zero share");
-  return plan;
 }
 
-StepInfo UnitEngine::execute(const StepPlan& plan) {
-  StepInfo info;
-  info.first_step = now_ + 1;
-  info.repeat = 1;
-  info.window_size = plan.wsize;
-  info.window_requirement = plan.wkey;
-  info.left_border = prev_[plan.wl] == head_;
-  info.right_border = next_[plan.wr] == tail_;
+void UnitEngine::plan_into(Step& planned) const {
+  build_window(planned);
+  planned.fractured = iota_;
+  planned.solo = false;
+  planned.shares.clear();
+  planned.shares.reserve(planned.wsize);
+  for (JobId j = planned.wl;; j = next_[j]) {
+    const Res share = j == planned.wr ? planned.max_share : key(j);
+    planned.shares.push_back({j, share});
+    if (j == planned.wr) break;
+  }
+}
+
+StepInfo UnitEngine::make_info(const Step& planned, Time first_step) const {
+  StepInfo info = shares_info(planned.shares, first_step, reqs_);
+  info.window_size = planned.wsize;
+  info.window_requirement = planned.wkey;
+  info.left_border = prev_[planned.wl] == head_;
+  info.right_border = next_[planned.wr] == tail_;
   info.step_case =
-      plan.wkey >= capacity_ ? StepCase::kHeavy : StepCase::kLight;
-  if (iota_ != kNoJob) info.fractured = iota_;
-
-  info.shares.reserve(plan.wsize);
-  for (JobId j = plan.wl;; j = next_[j]) {
-    const Res share = (j == plan.wr) ? plan.max_share : key(j);
-    info.shares.push_back({j, share});
-    info.resource_used = util::add_checked(info.resource_used, share);
-    if (share == reqs_[j]) ++info.full_requirement_jobs;
-    if (j == plan.wr) break;
-  }
-
-  // Apply: every member except possibly wr finishes.
-  const JobId resume = prev_[plan.wl];
-  JobId j = plan.wl;
-  while (true) {
-    const JobId nxt = next_[j];
-    const bool is_max = (j == plan.wr);
-    const Res share = is_max ? plan.max_share : key(j);
-    rem_[j] -= share;
-    if (rem_[j] == 0) {
-      finish(j);
-    } else {
-      ensure(is_max, "non-max unit window job failed to finish");
-      iota_ = j;
-      reposition_started(j);
-    }
-    if (is_max) break;
-    j = nxt;
-  }
-  if (iota_ == kNoJob) cursor_ = resume;  // full completion: resume here
-  ++now_;
+      planned.wkey >= capacity_ ? StepCase::kHeavy : StepCase::kLight;
+  if (planned.fractured != kNoJob) info.fractured = planned.fractured;
   return info;
 }
 
-StepInfo UnitEngine::step() { return execute(build_window()); }
+Time UnitEngine::planned_reps(Step& planned) {
+  planned.solo = planned.wsize == 1 && planned.max_share == capacity_ &&
+                 key(planned.wr) > capacity_;
+  return planned.solo ? key(planned.wr) / capacity_ : 1;
+}
+
+bool UnitEngine::apply(const Step& planned, Time reps) {
+  // Every member except possibly wr finishes; only the solo window (whose
+  // share·reps never exceeds its key) runs for reps > 1.
+  const JobId resume = prev_[planned.wl];
+  bool finished_any = false;
+  for (const Assignment& a : planned.shares) {
+    rem_[a.job] -= a.share * reps;
+    if (rem_[a.job] == 0) {
+      finish(a.job);
+      finished_any = true;
+    } else {
+      ensure(a.job == planned.wr,
+             "non-max unit window job failed to finish");
+      iota_ = a.job;
+      reposition_started(a.job);
+    }
+  }
+  if (iota_ == kNoJob) cursor_ = resume;  // full completion: resume here
+  now_ += reps;
+  return finished_any;
+}
+
+StepInfo UnitEngine::step() {
+  Step planned;
+  plan_into(planned);
+  StepInfo info = make_info(planned, now_ + 1);
+  apply(planned, 1);
+  return info;
+}
 
 /// Deterministic per-block stats; mirrors the SosEngine catalog under the
 /// engine.unit prefix. In the light case every window job receives its full
 /// *current* key, so at most the started job ι falls short of its static
 /// requirement — the unit-case reading of the Theorem 3.3 dichotomy.
 /// Accumulated in plain fields; publish_stats() flushes once per run.
-void UnitEngine::record_block(const StepInfo& info) {
+void UnitEngine::record_block(const Step& planned, Time reps) {
   if (!obs::enabled()) return;
-  const auto ureps = static_cast<std::uint64_t>(info.repeat);
+  const auto ureps = static_cast<std::uint64_t>(reps);
   ++stats_.blocks;
   stats_.steps += ureps;
-  if (info.step_case == StepCase::kHeavy) {
+  if (planned.wkey >= capacity_) {
     stats_.case1_steps += ureps;
   } else {
     stats_.case2_steps += ureps;
-    if (info.window_size - info.full_requirement_jobs <= 1) {
+    std::size_t full = 0;
+    for (const Assignment& a : planned.shares) {
+      if (a.share == reqs_[a.job]) ++full;
+    }
+    if (planned.wsize - full <= 1) {
       stats_.full_requirement_steps += ureps;
     }
   }
   stats_.fast_forward_steps += ureps - 1;
-  if (info.fractured) ++stats_.fractured_handoffs;
+  if (planned.solo) ++stats_.fast_forward_blocks;
+  if (planned.fractured != kNoJob) ++stats_.fractured_handoffs;
 }
 
 void UnitEngine::publish_stats() {
@@ -256,73 +273,7 @@ void UnitEngine::publish_stats() {
 }
 
 void UnitEngine::run(Schedule& out, bool fast_forward, StepObserver* observer) {
-  out.reserve_blocks(remaining_jobs_ / m_ + 1);
-  // Strong exception guarantee for `out`; see SosEngine::run. Runs that
-  // throw publish no stats either.
-  const Schedule::Mark mark = out.mark();
-  try {
-    run_loop(out, fast_forward, observer);
-  } catch (...) {
-    out.rollback(mark);
-    throw;
-  }
-  publish_stats();
-}
-
-void UnitEngine::run_loop(Schedule& out, bool fast_forward,
-                          StepObserver* observer) {
-  while (!done()) {
-    SHAREDRES_FAILPOINT("unit_engine.step");
-    util::deadline::check("unit_engine.step");
-    const StepPlan plan = build_window();
-
-    // Fast-forward: a solo window whose job absorbs the whole capacity
-    // repeats identically until the job's remainder drops below C.
-    if (fast_forward && plan.wsize == 1 && plan.max_share == capacity_ &&
-        key(plan.wr) > capacity_) {
-      const JobId j = plan.wr;
-      const Time reps = key(j) / capacity_;  // steps at full capacity
-      const Res leftover = key(j) - reps * capacity_;
-      StepInfo info;
-      info.first_step = now_ + 1;
-      info.repeat = reps;
-      info.shares = {{j, capacity_}};
-      info.window_size = 1;
-      info.window_requirement = plan.wkey;
-      info.left_border = prev_[j] == head_;
-      info.right_border = next_[j] == tail_;
-      info.step_case = StepCase::kHeavy;
-      if (iota_ != kNoJob) info.fractured = iota_;
-      info.resource_used = capacity_;
-      rem_[j] -= reps * capacity_;
-      now_ += reps;
-      if (leftover == 0) {
-        cursor_ = prev_[j];  // full completion: resume here
-        finish(j);
-      } else {
-        iota_ = j;
-        reposition_started(j);
-      }
-      if (obs::enabled()) ++stats_.fast_forward_blocks;
-      record_block(info);
-      if (observer != nullptr) {
-        out.append(reps, info.shares);
-        observer->on_step(info);
-      } else {
-        out.append(reps, std::move(info.shares));
-      }
-      continue;
-    }
-
-    StepInfo info = execute(plan);
-    record_block(info);
-    if (observer != nullptr) {
-      out.append(1, info.shares);
-      observer->on_step(info);
-    } else {
-      out.append(1, std::move(info.shares));
-    }
-  }
+  EngineDriver::run(*this, out, fast_forward, observer);
 }
 
 }  // namespace sharedres::core

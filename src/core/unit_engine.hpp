@@ -57,18 +57,37 @@ class UnitEngine {
   [[nodiscard]] JobId started_job() const { return iota_; }
 
  private:
-  struct StepPlan {
+  /// One planned block: the window and the shares it hands out, in window
+  /// order (every member but wr finishes within the step).
+  struct Step {
+    std::vector<Assignment> shares;
     JobId wl = kNoJob, wr = kNoJob;  // window bounds in the virtual list
     std::size_t wsize = 0;
     Res wkey = 0;                    // Σ current keys over the window
     Res max_share = 0;               // share granted to wr
+    JobId fractured = kNoJob;        // ι entering the step, if any
+    bool solo = false;               // fast-forwarded solo window
   };
 
   [[nodiscard]] Res key(JobId j) const { return rem_[j]; }
-  void run_loop(Schedule& out, bool fast_forward, StepObserver* observer);
-  [[nodiscard]] StepPlan build_window() const;
-  StepInfo execute(const StepPlan& plan);
-  void record_block(const StepInfo& info);
+  /// Fills `plan`'s window bounds, key sum and max share.
+  void build_window(Step& plan) const;
+
+  // ---- EngineDriver hooks (core/engine_driver.hpp) ----
+  friend struct EngineDriver;
+  static constexpr const char* kStepSite = "unit_engine.step";
+  [[nodiscard]] std::size_t block_estimate() const {
+    return remaining_jobs_ / m_ + 1;
+  }
+  /// The unit window is rebuilt around ι while planning; nothing to prepare.
+  void prepare_step() const {}
+  void plan_into(Step& planned) const;
+  [[nodiscard]] StepInfo make_info(const Step& planned, Time first_step) const;
+  /// The fast-forward: a solo window whose job absorbs the whole capacity
+  /// repeats identically until the job's remainder drops below C.
+  [[nodiscard]] Time planned_reps(Step& planned);
+  bool apply(const Step& planned, Time reps);
+  void record_block(const Step& planned, Time reps);
   void publish_stats();
   void unlink(JobId j);
   void finish(JobId j);

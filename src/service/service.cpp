@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "algorithms/table.hpp"
 #include "batch/stream.hpp"
 #include "obs/json_export.hpp"
 #include "obs/registry.hpp"
@@ -11,18 +12,8 @@
 
 namespace sharedres::service {
 
-namespace {
-
-bool blank(const std::string& line) {
-  for (const char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 Service::Service(const ServiceOptions& options) : options_(options) {
+  (void)algorithms::require(options_.algorithm);
   // A high-water mark above the queue capacity could never trigger (the
   // queue cannot get that deep), turning shedding into silent backpressure
   // — clamp so "shedding on" always means "shed instead of block".
@@ -126,7 +117,7 @@ bool Service::answer_status(const std::shared_ptr<Client>& client,
 void Service::submit(const std::shared_ptr<Client>& client,
                      const std::string& line) {
   if (finished_) throw std::logic_error("Service::submit after finish");
-  if (blank(line)) return;
+  if (batch::blank_line(line)) return;
   requests_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t index = client->next_index++;
   // Health probes are answered in place — before the drain check, because a
@@ -183,7 +174,7 @@ std::size_t Service::replay(const std::shared_ptr<Client>& client,
   const std::lock_guard<std::mutex> admission(admission_mutex_);
   std::size_t enqueued = 0;
   for (const std::string& line : lines) {
-    if (blank(line)) continue;
+    if (batch::blank_line(line)) continue;
     requests_.fetch_add(1, std::memory_order_relaxed);
     replayed_.fetch_add(1, std::memory_order_relaxed);
     admitted_.fetch_add(1, std::memory_order_relaxed);

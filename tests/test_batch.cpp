@@ -5,18 +5,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "algorithms/table.hpp"
 #include "baselines/baselines.hpp"
 #include "batch/pipeline.hpp"
 #include "batch/stream.hpp"
+#include "batch/worker.hpp"
 #include "cache/canonical.hpp"
+#include "core/improved_scheduler.hpp"
 #include "core/instance.hpp"
 #include "core/lower_bounds.hpp"
+#include "core/multires_scheduler.hpp"
 #include "core/schedule.hpp"
 #include "core/sos_engine.hpp"
 #include "core/sos_scheduler.hpp"
@@ -25,6 +31,7 @@
 #include "io/text_io.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "workloads/multires_generators.hpp"
 #include "workloads/sos_generators.hpp"
 
 namespace sharedres::batch {
@@ -184,35 +191,109 @@ TEST(BatchPipeline, MatchesOneShotSolvesAndCountsSummary) {
       6);
 }
 
+/// A d = 2 instance every rigid row accepts (r_{j,k} ≤ C_k on both axes).
+core::Instance two_resource_instance() {
+  workloads::MultiResConfig cfg;
+  cfg.machines = 4;
+  cfg.capacity = 1000;
+  cfg.jobs = 12;
+  cfg.max_size = 3;
+  cfg.seed = 13;
+  return workloads::correlated_multires_instance(cfg);
+}
+
+/// The result line of `inst` through `algorithm` — the pipeline's own
+/// per-record path — parsed back.
+util::Json solve_line(const core::Instance& inst, std::string_view algorithm,
+                      std::size_t index, WorkerScratch& scratch) {
+  WorkOptions options;
+  options.algorithm = algorithm;
+  options.emit_schedules = true;
+  return util::Json::parse(process_record(format_instance_record(inst), index,
+                                          options, scratch));
+}
+
 TEST(BatchPipeline, EveryAlgorithmMatchesItsOneShotEntryPoint) {
-  const core::Instance general = workloads::uniform_instance(config(11));
-  const core::Instance unit =
-      workloads::uniform_instance(config(12, 10, /*max_size=*/1));
-
-  const std::vector<std::pair<std::string, core::Time>> cases = {
-      {"window", core::schedule_sos(general).makespan()},
-      {"gg", baselines::schedule_garey_graham(general).makespan()},
-      {"equalsplit", baselines::schedule_equal_split(general).makespan()},
-      {"sequential", baselines::schedule_sequential(general).makespan()},
+  // Each row's one-shot entry point, written out here rather than read from
+  // the table so the test compares two dispatch paths instead of one.
+  using OneShot = core::Schedule (*)(const core::Instance&);
+  const std::map<std::string_view, OneShot> one_shot = {
+      {"window", [](const core::Instance& i) { return core::schedule_sos(i); }},
+      {"unit",
+       [](const core::Instance& i) { return core::schedule_sos_unit(i); }},
+      {"improved",
+       [](const core::Instance& i) { return core::schedule_improved(i); }},
+      {"gg",
+       [](const core::Instance& i) {
+         return baselines::schedule_garey_graham(i);
+       }},
+      {"equalsplit",
+       [](const core::Instance& i) {
+         return baselines::schedule_equal_split(i);
+       }},
+      {"sequential",
+       [](const core::Instance& i) {
+         return baselines::schedule_sequential(i);
+       }},
+      {"multires",
+       [](const core::Instance& i) { return core::schedule_multires(i); }},
   };
-  for (const auto& [algorithm, expected] : cases) {
-    BatchOptions options;
-    options.algorithm = algorithm;
-    const auto [text, summary] =
-        run({format_instance_record(general)}, options);
-    EXPECT_EQ(summary.ok, 1u) << algorithm;
-    const util::Json doc = util::Json::parse(output_lines(text)[0]);
-    EXPECT_EQ(doc.at("makespan").as_double(), static_cast<double>(expected))
-        << algorithm;
+  const std::vector<core::Instance> instances = {
+      workloads::uniform_instance(config(11)),
+      workloads::uniform_instance(config(12, 10, /*max_size=*/1)),
+      two_resource_instance(),
+  };
+  WorkerScratch scratch;  // one scratch across every row and record
+  std::size_t index = 0;
+  for (const core::Algorithm* row : algorithms::all()) {
+    const auto entry = one_shot.find(row->name);
+    ASSERT_NE(entry, one_shot.end()) << row->name;
+    for (const core::Instance& inst : instances) {
+      const util::Json doc = solve_line(inst, row->name, index++, scratch);
+      const bool accepted =
+          (!row->unit_only || inst.unit_size()) &&
+          (row->multi_resource || inst.resource_count() == 1);
+      if (!accepted) {
+        EXPECT_EQ(doc.at("error").at("code").as_string(), "invalid_instance")
+            << row->name;
+        continue;
+      }
+      ASSERT_TRUE(doc.at("ok").as_bool()) << row->name << ": " << doc.dump();
+      std::ostringstream expected;
+      io::write_schedule(expected, entry->second(inst));
+      EXPECT_EQ(doc.at("schedule").as_string(), expected.str()) << row->name;
+    }
   }
+}
 
-  BatchOptions unit_options;
-  unit_options.algorithm = "unit";
-  const auto [text, summary] = run({format_instance_record(unit)}, unit_options);
-  EXPECT_EQ(summary.ok, 1u);
-  const util::Json doc = util::Json::parse(output_lines(text)[0]);
-  EXPECT_EQ(doc.at("makespan").as_double(),
-            static_cast<double>(core::schedule_sos_unit(unit).makespan()));
+TEST(BatchPipeline, EveryAlgorithmFailsARejectedRecordTypedAndGoesOn) {
+  // Rows that schedule one resource reject any d = 2 record; the rigid
+  // d-resource rows reject one whose job overflows a secondary axis.
+  const core::Instance fits = two_resource_instance();
+  const core::Instance oversized(4, {10, 4}, {core::MultiJob{2, {3, 5}}});
+  for (const core::Algorithm* row : algorithms::all()) {
+    const core::Instance valid = workloads::uniform_instance(
+        config(21, 10, row->unit_only ? 1 : 3));
+    const std::vector<std::string> lines = {
+        format_instance_record(row->multi_resource ? oversized : fits),
+        format_instance_record(valid),
+    };
+    BatchOptions options;
+    options.algorithm = row->name;
+    const auto [text, summary] = run(lines, options);
+    EXPECT_EQ(summary.ok, 1u) << row->name;
+    EXPECT_EQ(summary.failed, 1u) << row->name;
+    const std::vector<std::string> out = output_lines(text);
+    ASSERT_EQ(out.size(), 3u) << row->name;
+    const util::Json failed = util::Json::parse(out[0]);
+    EXPECT_FALSE(failed.at("ok").as_bool()) << row->name;
+    EXPECT_EQ(failed.at("error").at("code").as_string(), "invalid_instance")
+        << row->name;
+    WorkerScratch scratch;
+    WorkOptions work;
+    work.algorithm = row->name;
+    EXPECT_EQ(out[1], process_record(lines[1], 1, work, scratch)) << row->name;
+  }
 }
 
 TEST(BatchPipeline, OutputByteIdenticalAcrossThreadCounts) {

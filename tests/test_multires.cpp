@@ -34,6 +34,7 @@
 #include "core/sos_scheduler.hpp"
 #include "core/validator.hpp"
 #include "io/text_io.hpp"
+#include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "workloads/multires_generators.hpp"
@@ -222,9 +223,8 @@ TEST(MultiResEngine, FirstFitAdmissionOnHandExample) {
 }
 
 TEST(MultiResScheduler, FacadeContracts) {
-  EXPECT_THROW(
-      core::schedule_multires(Instance(1, {10, 10}, {MultiJob{1, {2, 2}}})),
-      std::invalid_argument);
+  EXPECT_INVALID_INSTANCE((void)core::schedule_multires(
+      Instance(1, {10, 10}, {MultiJob{1, {2, 2}}})));
   EXPECT_TRUE(
       core::schedule_multires(Instance(3, {10, 10}, {})).empty());
   // A job over capacity on a secondary axis cannot run rigidly: typed error.
@@ -305,6 +305,7 @@ TEST_P(MultiResFamilySweep, ResetReuseMatchesFreshEngine) {
 }
 
 TEST_P(MultiResFamilySweep, StrongExceptionGuaranteeUnderFailpoint) {
+  SKIP_WITHOUT_FAILPOINTS();
   const Instance inst = make();
   if (inst.resource_count() == 1) GTEST_SKIP() << "facade delegates at d=1";
   core::Schedule out;

@@ -18,6 +18,7 @@
 #include "core/unit_engine.hpp"
 #include "core/validator.hpp"
 #include "io/text_io.hpp"
+#include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
@@ -78,15 +79,6 @@ TEST(ErrorModel, CodeNamesAreStable) {
 }
 
 // ------------------------------------------------------- fail-point registry
-
-// Fault-injection tests are vacuous when the SHAREDRES_FAILPOINTS option is
-// off (Release builds); they skip instead of failing there.
-#define SKIP_WITHOUT_FAILPOINTS()                             \
-  do {                                                        \
-    if (!fp::compiled_in()) {                                 \
-      GTEST_SKIP() << "fail points compiled out of this build"; \
-    }                                                         \
-  } while (0)
 
 TEST(Failpoint, CompiledStateMatchesBuildConfiguration) {
 #if defined(SHAREDRES_FAILPOINTS_ENABLED)

@@ -21,6 +21,7 @@
 #include "core/instance.hpp"
 #include "service/journal.hpp"
 #include "service/service.hpp"
+#include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
@@ -30,13 +31,6 @@ namespace sharedres::service {
 namespace {
 
 namespace fp = util::failpoint;
-
-#define SKIP_WITHOUT_FAILPOINTS()                                  \
-  do {                                                             \
-    if (!fp::compiled_in()) {                                      \
-      GTEST_SKIP() << "fail points compiled out of this build";    \
-    }                                                              \
-  } while (0)
 
 struct FailpointGuard {
   ~FailpointGuard() { fp::reset(); }
@@ -222,6 +216,19 @@ TEST(Journal, ConcurrentAppendsStayWholeLines) {
 }
 
 // ---- service: response bytes and exactly-one-response -----------------------
+
+TEST(ServiceResponses, UnknownAlgorithmIsRejectedAtConstruction) {
+  // No record may silently run some other scheduler: the name is resolved
+  // through the algorithm table before the pool starts.
+  ServiceOptions options;
+  options.algorithm = "bogus";
+  try {
+    Service service(options);
+    FAIL() << "expected util::Error";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.code(), util::ErrorCode::kCliUsage);
+  }
+}
 
 TEST(ServiceResponses, MatchBatchPipelineBytesAtEveryThreadCount) {
   const std::vector<std::string> lines = request_lines(24);

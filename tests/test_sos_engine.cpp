@@ -10,6 +10,7 @@
 #include "core/sos_scheduler.hpp"
 #include "core/validator.hpp"
 #include "core/window.hpp"
+#include "test_support.hpp"
 #include "workloads/sos_generators.hpp"
 
 namespace sharedres {
@@ -145,7 +146,7 @@ TEST(SosEngine, MakespanNeverBelowLowerBound) {
 
 TEST(SosEngine, RejectsSingleMachine) {
   const Instance inst(1, 10, {Job{1, 3}});
-  EXPECT_THROW((void)core::schedule_sos(inst), std::invalid_argument);
+  EXPECT_INVALID_INSTANCE((void)core::schedule_sos(inst));
 }
 
 TEST(SosEngine, ObserverDoesNotChangeEmittedSchedule) {

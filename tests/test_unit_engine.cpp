@@ -10,6 +10,7 @@
 #include "core/sos_scheduler.hpp"
 #include "core/unit_engine.hpp"
 #include "core/validator.hpp"
+#include "test_support.hpp"
 #include "workloads/sos_generators.hpp"
 
 namespace sharedres {
@@ -188,7 +189,7 @@ TEST(UnitEngine, ObserverDoesNotChangeEmittedSchedule) {
 
 TEST(UnitEngine, RejectsNonUnitSizes) {
   const Instance inst(3, 10, {Job{2, 3}});
-  EXPECT_THROW((void)core::schedule_sos_unit(inst), std::invalid_argument);
+  EXPECT_INVALID_INSTANCE((void)core::schedule_sos_unit(inst));
 }
 
 using UnitParam = std::tuple<int, std::uint64_t>;

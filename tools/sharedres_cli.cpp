@@ -4,9 +4,7 @@
 //                          [--capacity=1000000] [--max-size=4] [--seed=1]
 //                          [--resources=d] [--count=N --format=ndjson]
 //                          [--out=inst.txt]
-//   sharedres_cli solve    --instance=inst.txt
-//                          [--algorithm=window|unit|improved|gg|equalsplit|
-//                           sequential|multires]
+//   sharedres_cli solve    --instance=inst.txt [--algorithm=<table row>]
 //                          [--out=sched.txt] [--gantt]
 //   sharedres_cli validate --instance=inst.txt --schedule=sched.txt [--json]
 //   sharedres_cli bounds   --instance=inst.txt
@@ -54,19 +52,19 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sstream>
 
-#include "baselines/baselines.hpp"
+#include "algorithms/table.hpp"
 #include "batch/pipeline.hpp"
 #include "batch/stream.hpp"
 #include "binpack/packers.hpp"
 #include "core/lower_bounds.hpp"
 #include "obs/json_export.hpp"
-#include "core/improved_scheduler.hpp"
-#include "core/multires_scheduler.hpp"
 #include "core/sos_scheduler.hpp"
 #include "core/validator.hpp"
 #include "io/text_io.hpp"
@@ -99,15 +97,15 @@ constexpr int kExitUsage = 2;
 constexpr int kExitInput = 3;
 
 int usage() {
+  const std::string rows = algorithms::names();
   std::cerr
       << "usage: sharedres_cli "
          "<gen|solve|validate|bounds|pack|sas|batch|serve|loadgen|failpoints> "
          "[--flags]\n"
          "  gen      --family=... --machines=M --jobs=N [--resources=d] "
          "[--count=K --format=ndjson] [--out=f]\n"
-         "  solve    --instance=f [--algorithm=window|unit|improved|gg|"
-         "equalsplit|"
-         "sequential|multires] [--parallel=N] [--gantt] [--stats] "
+         "  solve    --instance=f [--algorithm="
+      << rows << "] [--parallel=N] [--gantt] [--stats] "
          "[--svg=f.svg] [--out=f]\n"
          "  validate --instance=f --schedule=f [--json] [--max-violations=N]\n"
          "  bounds   --instance=f\n"
@@ -131,6 +129,29 @@ int usage() {
          "        (src/obs) after any command, successful or not\n"
          "exit codes: 0 ok | 1 infeasible | 2 usage | 3 input error\n";
   return kExitUsage;
+}
+
+/// The --algorithm flag resolved through the algorithm table; nullptr (after
+/// a usage message) for an unknown name.
+const core::Algorithm* algorithm_flag(const util::Cli& cli,
+                                      const char* command) {
+  const std::string name = cli.get("algorithm", "window");
+  const core::Algorithm* row = algorithms::find(name);
+  if (row == nullptr) {
+    std::cerr << command << ": unknown --algorithm=" << name << "\n";
+  }
+  return row;
+}
+
+/// --cache[=N] for batch and serve: bare --cache (stored as "true") selects
+/// the default capacity, --cache=N pins it, absent or --cache=0 is off.
+/// Negative (after a usage message) for a negative N.
+std::int64_t cache_flag(const util::Cli& cli, const char* command) {
+  if (!cli.has("cache")) return 0;
+  const std::int64_t capacity =
+      cli.get("cache", "") == "true" ? 1024 : cli.get_int("cache", 0);
+  if (capacity < 0) std::cerr << command << ": --cache must be >= 0\n";
+  return capacity;
 }
 
 int cmd_gen(const util::Cli& cli) {
@@ -252,16 +273,11 @@ int cmd_batch(const util::Cli& cli) {
   }
 
   batch::BatchOptions options;
-  options.algorithm = cli.get("algorithm", "window");
   // run_batch re-validates, but an unknown algorithm is a usage error here
   // (exit 2), before any input is touched — same policy as `solve`.
-  if (options.algorithm != "window" && options.algorithm != "unit" &&
-      options.algorithm != "improved" && options.algorithm != "gg" &&
-      options.algorithm != "equalsplit" && options.algorithm != "sequential" &&
-      options.algorithm != "multires") {
-    std::cerr << "batch: unknown --algorithm=" << options.algorithm << "\n";
-    return kExitUsage;
-  }
+  const core::Algorithm* algorithm = algorithm_flag(cli, "batch");
+  if (algorithm == nullptr) return kExitUsage;
+  options.algorithm = algorithm->name;
   const std::int64_t threads = cli.get_int(
       "threads", static_cast<std::int64_t>(util::default_threads()));
   const std::int64_t queue = cli.get_int("queue", 64);
@@ -280,17 +296,9 @@ int cmd_batch(const util::Cli& cli) {
   }
   options.default_deadline_steps = static_cast<std::uint64_t>(deadline_steps);
   options.deadline_ms = static_cast<std::uint64_t>(deadline_ms);
-  if (cli.has("cache")) {
-    // Bare --cache (stored as "true") selects the default capacity;
-    // --cache=N pins it. --cache=0 is explicit off.
-    const std::int64_t capacity =
-        cli.get("cache", "") == "true" ? 1024 : cli.get_int("cache", 0);
-    if (capacity < 0) {
-      std::cerr << "batch: --cache must be >= 0\n";
-      return kExitUsage;
-    }
-    options.cache_capacity = static_cast<std::size_t>(capacity);
-  }
+  const std::int64_t cache = cache_flag(cli, "batch");
+  if (cache < 0) return kExitUsage;
+  options.cache_capacity = static_cast<std::size_t>(cache);
 
   const std::string out_path = cli.get("out", "");
   std::ofstream out_file;
@@ -356,14 +364,9 @@ bool signal_seen() {
 
 int cmd_serve(const util::Cli& cli) {
   service::ServiceOptions options;
-  options.algorithm = cli.get("algorithm", "window");
-  if (options.algorithm != "window" && options.algorithm != "unit" &&
-      options.algorithm != "improved" && options.algorithm != "gg" &&
-      options.algorithm != "equalsplit" && options.algorithm != "sequential" &&
-      options.algorithm != "multires") {
-    std::cerr << "serve: unknown --algorithm=" << options.algorithm << "\n";
-    return kExitUsage;
-  }
+  const core::Algorithm* algorithm = algorithm_flag(cli, "serve");
+  if (algorithm == nullptr) return kExitUsage;
+  options.algorithm = algorithm->name;
   const std::int64_t threads = cli.get_int(
       "threads", static_cast<std::int64_t>(util::default_threads()));
   const std::int64_t queue = cli.get_int("queue", 64);
@@ -389,18 +392,10 @@ int cmd_serve(const util::Cli& cli) {
   options.emit_schedules = cli.has("emit-schedules");
   options.journal_path = cli.get("journal", "");
   options.journal_fsync = cli.has("journal-fsync");
-  if (cli.has("cache")) {
-    // Same spelling as batch: bare --cache selects the default capacity,
-    // --cache=N pins it, --cache=0 is explicit off. The cache is shared
-    // across all client connections (ServiceOptions::cache_capacity).
-    const std::int64_t capacity =
-        cli.get("cache", "") == "true" ? 1024 : cli.get_int("cache", 0);
-    if (capacity < 0) {
-      std::cerr << "serve: --cache must be >= 0\n";
-      return kExitUsage;
-    }
-    options.cache_capacity = static_cast<std::size_t>(capacity);
-  }
+  // One cache shared across all client connections.
+  const std::int64_t cache = cache_flag(cli, "serve");
+  if (cache < 0) return kExitUsage;
+  options.cache_capacity = static_cast<std::size_t>(cache);
   const bool replay = cli.has("replay");
   const std::string socket_path = cli.get("socket", "");
   if (replay && options.journal_path.empty()) {
@@ -847,14 +842,8 @@ int cmd_solve(const util::Cli& cli) {
   }
   // Validate flags before touching the filesystem: a typo in --algorithm is
   // a usage error (exit 2) even when the instance file is also bad.
-  const std::string algorithm = cli.get("algorithm", "window");
-  if (algorithm != "window" && algorithm != "unit" &&
-      algorithm != "improved" && algorithm != "gg" &&
-      algorithm != "equalsplit" && algorithm != "sequential" &&
-      algorithm != "multires") {
-    std::cerr << "solve: unknown --algorithm=" << algorithm << "\n";
-    return kExitUsage;
-  }
+  const core::Algorithm* algorithm = algorithm_flag(cli, "solve");
+  if (algorithm == nullptr) return kExitUsage;
   // --parallel=N engages the descriptor-parallel unit engine with N workers
   // (0 = scalar, the default). Unit-only: no other algorithm has a parallel
   // path, and silently ignoring the flag would misreport an experiment.
@@ -863,37 +852,23 @@ int cmd_solve(const util::Cli& cli) {
     std::cerr << "solve: --parallel must be >= 0\n";
     return kExitUsage;
   }
-  if (parallel > 0 && algorithm != "unit") {
+  if (parallel > 0 && algorithm != &core::kUnitAlgorithm) {
     std::cerr << "solve: --parallel requires --algorithm=unit\n";
     return kExitUsage;
   }
   const core::Instance inst = io::load_instance(path);
 
   core::Schedule schedule;
-  if (algorithm == "window") {
-    schedule = core::schedule_sos(inst);
-  } else if (algorithm == "unit") {
+  if (parallel > 0) {
     core::SosOptions options;
-    if (parallel > 0) {
-      options.parallel_threads = static_cast<std::size_t>(parallel);
-      // The CLI flag is an explicit request: engage regardless of size so
-      // identity scripts can diff small instances through the fast path.
-      options.parallel_min_jobs = 0;
-    }
+    options.parallel_threads = static_cast<std::size_t>(parallel);
+    // The CLI flag is an explicit request: engage regardless of size so
+    // identity scripts can diff small instances through the fast path.
+    options.parallel_min_jobs = 0;
     schedule = core::schedule_sos_unit(inst, options);
-  } else if (algorithm == "improved") {
-    schedule = core::schedule_improved(inst);
-  } else if (algorithm == "gg") {
-    schedule = baselines::schedule_garey_graham(inst);
-  } else if (algorithm == "equalsplit") {
-    schedule = baselines::schedule_equal_split(inst);
-  } else if (algorithm == "sequential") {
-    schedule = baselines::schedule_sequential(inst);
-  } else if (algorithm == "multires") {
-    schedule = core::schedule_multires(inst);
   } else {
-    std::cerr << "solve: unknown --algorithm=" << algorithm << "\n";
-    return kExitUsage;
+    core::EngineScratch scratch;
+    core::solve(*algorithm, inst, scratch, schedule);
   }
 
   const auto check = core::validate(inst, schedule);
@@ -903,7 +878,7 @@ int cmd_solve(const util::Cli& cli) {
     return kExitInfeasible;
   }
   const core::LowerBounds lb = core::lower_bounds(inst);
-  std::cout << "algorithm:    " << algorithm << "\n"
+  std::cout << "algorithm:    " << algorithm->name << "\n"
             << "jobs:         " << inst.size() << "\n"
             << "machines:     " << inst.machines() << "\n"
             << "makespan:     " << schedule.makespan() << "\n"
@@ -996,22 +971,24 @@ int cmd_pack(const util::Cli& cli) {
   }
   const binpack::PackingInstance inst = io::read_packing_instance(in);
   const std::string algorithm = cli.get("algorithm", "window");
-
-  binpack::Packing packing;
-  if (algorithm == "window") {
-    packing = binpack::sliding_window_packing(inst);
-  } else if (algorithm == "nextfit") {
-    packing = binpack::next_fit_packing(inst);
-  } else if (algorithm == "nfd") {
-    packing = binpack::next_fit_packing(inst, true);
-  } else if (algorithm == "ffd") {
-    packing = binpack::first_fit_decreasing_packing(inst);
-  } else if (algorithm == "pairing") {
-    packing = binpack::pairing_packing(inst);
-  } else {
+  using Packer = binpack::Packing (*)(const binpack::PackingInstance&);
+  static constexpr std::pair<std::string_view, Packer> kPackers[] = {
+      {"window",
+       [](const auto& i) { return binpack::sliding_window_packing(i); }},
+      {"nextfit", [](const auto& i) { return binpack::next_fit_packing(i); }},
+      {"nfd", [](const auto& i) { return binpack::next_fit_packing(i, true); }},
+      {"ffd",
+       [](const auto& i) { return binpack::first_fit_decreasing_packing(i); }},
+      {"pairing", [](const auto& i) { return binpack::pairing_packing(i); }},
+  };
+  const auto packer = std::find_if(
+      std::begin(kPackers), std::end(kPackers),
+      [&](const auto& row) { return row.first == algorithm; });
+  if (packer == std::end(kPackers)) {
     std::cerr << "pack: unknown --algorithm=" << algorithm << "\n";
     return kExitUsage;
   }
+  const binpack::Packing packing = packer->second(inst);
   const auto check = binpack::validate(inst, packing);
   if (!check.ok) {
     std::cerr << "internal error: invalid packing: " << check.error << "\n";
