@@ -6,15 +6,15 @@
 // exists for). Every cell is timed --reps times; the table and the JSON
 // artifact report min/median and jobs-per-second throughput.
 //
-// Usage: bench_runtime [--max-n=N] [--adversarial-n=N] [--parallel-n=N]
+// Usage: bench_runtime [--max-n=N] [--adversarial-n=N] [--heavy-n=N]
 //                      [--reps=K] [--csv] [--json-dir=DIR]
 //   --max-n          cap on the sweep sizes (default 256000); CI smoke runs
 //                    pass a small cap so the bench finishes in seconds
 //   --adversarial-n  size of the front-accumulation case (default 256000)
-//   --parallel-n     size of the E14 scalar-vs-parallel unit-engine cells
-//                    (default 0 = section skipped, keeping the default
-//                    invocation's label set — and with it the checked-in CI
-//                    baseline — unchanged)
+//   --heavy-n        size of the E14 heavy-regime unit cells, default path
+//                    vs the stepwise walk (default 0 = section skipped,
+//                    keeping the default invocation's label set — and with
+//                    it the checked-in CI baseline — unchanged)
 #include <iostream>
 #include <string>
 
@@ -139,64 +139,48 @@ int main(int argc, char** argv) {
   }
   h.table(adv);
 
-  // E14 — the descriptor-parallel unit engine (core/parallel_unit.hpp)
-  // against the scalar linked-list engine on the heavy prefix-consumption
-  // regime: m = 512, r_j uniform on [0.002, 0.004]·C, so every window turns
-  // heavy within ≤ 500 members and the fast path never bails. The schedules
-  // are asserted equal before any timing is reported — a fast wrong answer
-  // must fail the bench, not set a baseline.
-  const auto par_n = static_cast<std::size_t>(cli.get_int("parallel-n", 0));
-  if (par_n > 0) {
+  // E14 — the unit row's default path (the prefix-regime engine,
+  // core/unit_prefix_engine.hpp) against the stepwise walk oracle on the
+  // heavy regime: m = 512, r_j uniform on [0.002, 0.004]·C, so every window
+  // turns heavy within ≤ 500 members. The schedules are asserted equal
+  // before any timing is reported — a fast wrong answer must fail the
+  // bench, not set a baseline.
+  const auto heavy_n = static_cast<std::size_t>(cli.get_int("heavy-n", 0));
+  if (heavy_n > 0) {
     h.section(
-        "E14  Scalar vs descriptor-parallel unit engine, heavy regime "
+        "E14  Unit default path vs stepwise walk, heavy regime "
         "(m = 512, r ∈ [0.002, 0.004]·C)");
     workloads::SosConfig cfg;
     cfg.machines = 512;
     cfg.capacity = 1'000'000;
-    cfg.jobs = par_n;
+    cfg.jobs = heavy_n;
     cfg.max_size = 1;
     cfg.seed = 7;
     const core::Instance inst = workloads::uniform_instance(cfg, 0.002, 0.004);
 
-    const core::Schedule scalar_schedule = core::schedule_sos_unit(inst);
-    util::Table par({"engine", "threads", "n", "min_ms", "median_ms",
-                     "jobs_per_s", "speedup_vs_scalar"});
-    double scalar_min = 0.0;
-    {
-      core::Time span = 0;
-      const bench::Timing t = h.measure(
-          cell_label("unit_scalar", par_n, 512), reps,
-          [&] { span = core::schedule_sos_unit(inst).makespan(); },
-          static_cast<double>(par_n));
-      scalar_min = t.seconds_min;
-      par.add("unit_scalar", "-", par_n, util::fixed(t.seconds_min * 1e3, 3),
-              util::fixed(t.seconds_median * 1e3, 3),
-              util::fixed(t.items_per_second, 0), "1.00");
+    if (!(core::schedule_sos_unit(inst) ==
+          core::schedule_sos_unit(inst, {.fast_forward = false}))) {
+      std::cerr << "bench_runtime: the default unit schedule differs from "
+                   "the stepwise walk's\n";
+      return 1;
     }
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      core::SosOptions options;
-      options.parallel_threads = threads;
-      options.parallel_min_jobs = 0;
-      const core::Schedule check = core::schedule_sos_unit(inst, options);
-      if (!(check == scalar_schedule)) {
-        std::cerr << "bench_runtime: parallel schedule (t=" << threads
-                  << ") differs from the scalar engine's\n";
-        return 1;
-      }
-      core::Time span = 0;
+    util::Table heavy({"engine", "n", "min_ms", "median_ms", "jobs_per_s",
+                       "speedup_vs_stepwise"});
+    double stepwise_min = 0.0;
+    for (const bool fast : {false, true}) {
+      const core::SosOptions options{.fast_forward = fast};
+      const char* engine = fast ? "unit_default" : "unit_stepwise";
       const bench::Timing t = h.measure(
-          "unit_parallel/t=" + std::to_string(threads) +
-              "/n=" + std::to_string(par_n) + "/m=512",
-          reps,
-          [&] { span = core::schedule_sos_unit(inst, options).makespan(); },
-          static_cast<double>(par_n));
-      par.add("unit_parallel", threads, par_n,
-              util::fixed(t.seconds_min * 1e3, 3),
-              util::fixed(t.seconds_median * 1e3, 3),
-              util::fixed(t.items_per_second, 0),
-              util::fixed(scalar_min / t.seconds_min, 2));
+          cell_label(engine, heavy_n, 512), reps,
+          [&] { (void)core::schedule_sos_unit(inst, options); },
+          static_cast<double>(heavy_n));
+      if (!fast) stepwise_min = t.seconds_min;
+      heavy.add(engine, heavy_n, util::fixed(t.seconds_min * 1e3, 3),
+                util::fixed(t.seconds_median * 1e3, 3),
+                util::fixed(t.items_per_second, 0),
+                util::fixed(stepwise_min / t.seconds_min, 2));
     }
-    h.table(par);
+    h.table(heavy);
   }
 
   return h.finish();

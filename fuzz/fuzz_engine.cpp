@@ -9,6 +9,10 @@
 //   * the validator: the emitted schedule must satisfy V1–V5 exactly;
 //   * the lower bound: makespan ≥ lower_bounds(inst).combined().
 //
+// Both are also checked stepwise ≡ fast-forward; for schedule_sos_unit that
+// compares the prefix-regime engine against the walk whenever the input
+// passes its selection test (core/unit_prefix_engine.hpp).
+//
 // schedule_improved runs through the same two oracles plus a third,
 // differential one: the portfolio picks the best of its candidates, so its
 // makespan may never exceed schedule_sos's on the same instance. Its
@@ -80,7 +84,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     die("sos", "fast-forward and stepwise schedules differ");
   }
   if (unit) {
-    cross_check("unit", inst, core::schedule_sos_unit(inst), bound);
+    const core::Schedule unit_sched = core::schedule_sos_unit(inst);
+    cross_check("unit", inst, unit_sched, bound);
+    if (core::schedule_sos_unit(inst, stepwise) != unit_sched) {
+      die("unit", "fast-forward and stepwise schedules differ");
+    }
   }
 
   const core::Schedule improved = core::schedule_improved(inst);

@@ -140,11 +140,6 @@ expect "solve multires oversized secondary requirement" 3 $?
 "$CLI" solve --instance="$tmp/inst-d2.txt" --algorithm=window >/dev/null 2>&1
 expect "solve window on a d=2 instance" 3 $?
 
-# --parallel stays a unit-engine-only flag.
-"$CLI" solve --instance="$tmp/inst.txt" --algorithm=improved --parallel=2 \
-  >/dev/null 2>&1
-expect "solve improved rejects --parallel" 2 $?
-
 "$CLI" validate --instance="$tmp/inst.txt" --schedule="$tmp/sched.txt" \
   --json > "$tmp/ok.json" 2>/dev/null
 expect "validate feasible --json" 0 $?

@@ -6,8 +6,8 @@
 
 #include "core/improved_scheduler.hpp"
 #include "core/multires_scheduler.hpp"
-#include "core/parallel_unit.hpp"
 #include "core/sos_scheduler.hpp"
+#include "core/unit_prefix_engine.hpp"
 #include "obs/registry.hpp"
 #include "util/error.hpp"
 
@@ -44,6 +44,12 @@ void solve_unit_into(const Instance& inst, EngineScratch& scratch,
                      Schedule& out, bool fast_forward = true,
                      StepObserver* observer = nullptr) {
   if (inst.empty()) return;
+  // The prefix regime needs neither the walk's per-step window nor its
+  // observer hooks; stepwise runs and observers keep the walk oracle.
+  if (fast_forward && observer == nullptr && UnitPrefixEngine::applies(inst)) {
+    UnitPrefixEngine(inst).run(out);
+    return;
+  }
   bind(scratch.unit, inst).run(out, fast_forward, observer);
 }
 
@@ -194,18 +200,8 @@ Schedule schedule_sos(const Instance& instance, const SosOptions& options) {
 Schedule schedule_sos_unit(const Instance& instance,
                            const SosOptions& options) {
   check_preconditions(kUnitAlgorithm, instance);
-  Schedule out;
-  // Descriptor-parallel fast path: stepwise runs and observers need the
-  // scalar engine's per-step machinery, and tiny instances don't amortize
-  // the skeleton pass. A bail (instance outside the heavy regime) falls
-  // through to the scalar engine with `out` untouched.
-  if (options.parallel_threads > 0 && options.fast_forward &&
-      options.observer == nullptr && !instance.empty() &&
-      instance.size() >= options.parallel_min_jobs &&
-      schedule_unit_parallel(instance, out, options.parallel_threads)) {
-    return out;
-  }
   EngineScratch scratch;
+  Schedule out;
   solve_unit_into(instance, scratch, out, options.fast_forward,
                   options.observer);
   return out;

@@ -9,9 +9,9 @@
 // (strong exception guarantee for `out`), then one publish_stats().
 //
 // Engine hooks (private ones reached as a friend): Step, kStepSite,
-// block_estimate, done, now, prepare_step, plan_into, apply, record_block,
-// publish_stats; optionally make_info (observers),
-// planned_reps (a block length fixed at plan time: UnitEngine's solo
+// block_estimate, done, prepare_step, plan_into, apply, record_block,
+// publish_stats; optionally make_info and now (observers),
+// planned_reps (a block length fixed at plan time: the unit engines' solo
 // window) and may_repeat/plan_into/steps_until_change (the re-plan;
 // SosEngine's unfracture clamp and MultiResEngine's rem_steps_ live in
 // steps_until_change). Stepwise mode skips both fast-forward hooks and

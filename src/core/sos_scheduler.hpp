@@ -1,8 +1,6 @@
 // Public entry points for the SoS approximation algorithms (paper Section 3).
 #pragma once
 
-#include <cstddef>
-
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/trace.hpp"
@@ -10,26 +8,12 @@
 
 namespace sharedres::core {
 
-/// Below this instance size the intra-instance parallel fast path
-/// (core/parallel_unit.hpp) is not worth its skeleton pass: the scalar
-/// engine finishes small instances in well under a millisecond.
-inline constexpr std::size_t kParallelUnitMinJobs = 65536;
-
 struct SosOptions {
   /// Skip runs of identical steps (O((m+n)·n)); disable to run the listing's
   /// pseudo-polynomial stepwise form. Both produce identical schedules.
   bool fast_forward = true;
   /// Optional per-block instrumentation sink.
   StepObserver* observer = nullptr;
-  /// > 0 enables the descriptor-parallel unit engine (core/parallel_unit.hpp)
-  /// with this worker bound. Applies only to schedule_sos_unit, only with
-  /// fast_forward and no observer, and only for instances of at least
-  /// parallel_min_jobs jobs; the fast path bails back to the scalar engine
-  /// outside its regime, so the schedule is always bit-identical to the
-  /// scalar run regardless of this setting.
-  std::size_t parallel_threads = 0;
-  /// Engagement floor for the parallel path (tests set 0 to force it).
-  std::size_t parallel_min_jobs = kParallelUnitMinJobs;
 };
 
 /// Listing 1: the 2 + 1/(m−2) approximation for jobs of arbitrary size.

@@ -223,53 +223,58 @@ StepInfo UnitEngine::step() {
   return info;
 }
 
-/// Deterministic per-block stats; mirrors the SosEngine catalog under the
-/// engine.unit prefix. In the light case every window job receives its full
-/// *current* key, so at most the started job ι falls short of its static
-/// requirement — the unit-case reading of the Theorem 3.3 dichotomy.
-/// Accumulated in plain fields; publish_stats() flushes once per run.
+/// In the light case every window job receives its full *current* key, so
+/// at most the started job ι falls short of its static requirement — the
+/// unit-case reading of the Theorem 3.3 dichotomy.
 void UnitEngine::record_block(const Step& planned, Time reps) {
   if (!obs::enabled()) return;
-  const auto ureps = static_cast<std::uint64_t>(reps);
-  ++stats_.blocks;
-  stats_.steps += ureps;
-  if (planned.wkey >= capacity_) {
-    stats_.case1_steps += ureps;
-  } else {
-    stats_.case2_steps += ureps;
-    std::size_t full = 0;
+  const bool heavy = planned.wkey >= capacity_;
+  std::size_t full = 0;
+  if (!heavy) {
     for (const Assignment& a : planned.shares) {
       if (a.share == reqs_[a.job]) ++full;
     }
-    if (planned.wsize - full <= 1) {
-      stats_.full_requirement_steps += ureps;
-    }
   }
-  stats_.fast_forward_steps += ureps - 1;
-  if (planned.solo) ++stats_.fast_forward_blocks;
-  if (planned.fractured != kNoJob) ++stats_.fractured_handoffs;
+  stats_.record_block(reps, heavy, planned.wsize - full <= 1, planned.solo,
+                      planned.fractured != kNoJob);
 }
 
-void UnitEngine::publish_stats() {
+void UnitEngine::publish_stats() { stats_.publish(); }
+
+void UnitRunStats::record_block(Time reps, bool heavy, bool full_requirement,
+                                bool solo, bool fractured) {
+  const auto ureps = static_cast<std::uint64_t>(reps);
+  ++blocks;
+  steps += ureps;
+  if (heavy) {
+    case1_steps += ureps;
+  } else {
+    case2_steps += ureps;
+    if (full_requirement) full_requirement_steps += ureps;
+  }
+  fast_forward_steps += ureps - 1;
+  if (solo) ++fast_forward_blocks;
+  if (fractured) ++fractured_handoffs;
+}
+
+void UnitRunStats::publish() {
   if (!obs::enabled()) return;
   SHAREDRES_OBS_COUNT("engine.unit.runs");
-  SHAREDRES_OBS_COUNT_N("engine.unit.iota_resumes", stats_.iota_resumes);
-  SHAREDRES_OBS_COUNT_N("engine.unit.cursor_resumes", stats_.cursor_resumes);
-  SHAREDRES_OBS_COUNT_N("engine.unit.window_rebuilds", stats_.window_rebuilds);
-  SHAREDRES_OBS_COUNT_N("engine.unit.walk_hops", stats_.walk_hops);
-  SHAREDRES_OBS_COUNT_N("engine.unit.blocks", stats_.blocks);
-  SHAREDRES_OBS_COUNT_N("engine.unit.steps", stats_.steps);
-  SHAREDRES_OBS_COUNT_N("engine.unit.case1_steps", stats_.case1_steps);
-  SHAREDRES_OBS_COUNT_N("engine.unit.case2_steps", stats_.case2_steps);
+  SHAREDRES_OBS_COUNT_N("engine.unit.iota_resumes", iota_resumes);
+  SHAREDRES_OBS_COUNT_N("engine.unit.cursor_resumes", cursor_resumes);
+  SHAREDRES_OBS_COUNT_N("engine.unit.window_rebuilds", window_rebuilds);
+  SHAREDRES_OBS_COUNT_N("engine.unit.walk_hops", walk_hops);
+  SHAREDRES_OBS_COUNT_N("engine.unit.blocks", blocks);
+  SHAREDRES_OBS_COUNT_N("engine.unit.steps", steps);
+  SHAREDRES_OBS_COUNT_N("engine.unit.case1_steps", case1_steps);
+  SHAREDRES_OBS_COUNT_N("engine.unit.case2_steps", case2_steps);
   SHAREDRES_OBS_COUNT_N("engine.unit.full_requirement_steps",
-                        stats_.full_requirement_steps);
-  SHAREDRES_OBS_COUNT_N("engine.unit.fast_forward_steps",
-                        stats_.fast_forward_steps);
+                        full_requirement_steps);
+  SHAREDRES_OBS_COUNT_N("engine.unit.fast_forward_steps", fast_forward_steps);
   SHAREDRES_OBS_COUNT_N("engine.unit.fast_forward_blocks",
-                        stats_.fast_forward_blocks);
-  SHAREDRES_OBS_COUNT_N("engine.unit.fractured_handoffs",
-                        stats_.fractured_handoffs);
-  stats_ = {};
+                        fast_forward_blocks);
+  SHAREDRES_OBS_COUNT_N("engine.unit.fractured_handoffs", fractured_handoffs);
+  *this = {};
 }
 
 void UnitEngine::run(Schedule& out, bool fast_forward, StepObserver* observer) {

@@ -24,6 +24,36 @@
 
 namespace sharedres::core {
 
+/// Deterministic run statistics of the unit-size variant, mirroring
+/// SosEngine::RunStats under the engine.unit prefix (metric catalog:
+/// DESIGN.md §9). Shared by the walk (UnitEngine) and the prefix-regime
+/// engine (unit_prefix_engine.hpp), which leaves the four walk-only fields
+/// at 0. Plain fields keep the hot paths free of atomic registry traffic;
+/// publish() flushes them once per completed run.
+struct alignas(util::kCacheLineSize) UnitRunStats {
+  std::uint64_t iota_resumes = 0;     // walk only
+  std::uint64_t cursor_resumes = 0;   // walk only
+  std::uint64_t window_rebuilds = 0;  // walk only
+  std::uint64_t walk_hops = 0;        // walk only
+  std::uint64_t blocks = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t case1_steps = 0;
+  std::uint64_t case2_steps = 0;
+  std::uint64_t full_requirement_steps = 0;
+  std::uint64_t fast_forward_steps = 0;
+  std::uint64_t fast_forward_blocks = 0;
+  std::uint64_t fractured_handoffs = 0;
+
+  /// One block of `reps` identical steps. `full_requirement`: at most one
+  /// window member falls short of its static requirement (counted for
+  /// light steps only); `solo`: a fast-forwarded solo window; `fractured`:
+  /// a started job ι entered the step.
+  void record_block(Time reps, bool heavy, bool full_requirement, bool solo,
+                    bool fractured);
+  /// Flush to the engine.unit.* counters and zero every field.
+  void publish();
+};
+
 class UnitEngine {
  public:
   /// Requires instance.unit_size() and m ≥ 2.
@@ -121,26 +151,9 @@ class UnitEngine {
   std::size_t remaining_jobs_ = 0;
   Time now_ = 0;
 
-  /// Deterministic run statistics, mirroring SosEngine::RunStats under the
-  /// engine.unit prefix (metric catalog: DESIGN.md §9). Plain fields keep
-  /// the walk/step hot paths free of atomic registry traffic;
-  /// publish_stats() flushes them once per completed run(). Mutable because
-  /// the const window walk (build_window) classifies its own resume mode.
-  struct alignas(util::kCacheLineSize) RunStats {
-    std::uint64_t iota_resumes = 0;
-    std::uint64_t cursor_resumes = 0;
-    std::uint64_t window_rebuilds = 0;
-    std::uint64_t walk_hops = 0;
-    std::uint64_t blocks = 0;
-    std::uint64_t steps = 0;
-    std::uint64_t case1_steps = 0;
-    std::uint64_t case2_steps = 0;
-    std::uint64_t full_requirement_steps = 0;
-    std::uint64_t fast_forward_steps = 0;
-    std::uint64_t fast_forward_blocks = 0;
-    std::uint64_t fractured_handoffs = 0;
-  };
-  mutable RunStats stats_;
+  /// Deterministic run statistics (UnitRunStats). Mutable because the const
+  /// window walk (build_window) classifies its own resume mode.
+  mutable UnitRunStats stats_;
 };
 
 }  // namespace sharedres::core

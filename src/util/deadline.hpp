@@ -2,9 +2,9 @@
 //
 // A solve that must not run away (a service request with a latency contract,
 // a soak harness driving adversarial instances) installs a deadline::Scope on
-// its thread before calling into an engine. Both engines' step loops — and
-// the descriptor-parallel skeleton — call deadline::check(site) once per
-// step, the same placement discipline as the SHAREDRES_FAILPOINT sites.
+// its thread before calling into an engine. Every engine's block loop
+// (core/engine_driver.hpp) calls deadline::check(site) once per block, the
+// same placement discipline as the SHAREDRES_FAILPOINT sites.
 // When the scope's step budget is exhausted (or its wall-clock deadline has
 // passed) the check throws a typed util::Error (code kDeadlineExceeded); the
 // engines' strong exception guarantee rolls the output schedule back, and
@@ -76,7 +76,8 @@ class Scope {
 /// the budget is exhausted or the wall-clock deadline has passed. The clock
 /// is consulted only every 1024 steps so the hot loop never pays a clock
 /// read per iteration. `site` names the loop for the error message
-/// ("sos_engine.step", "unit_engine.step", "parallel_unit.skeleton").
+/// ("sos_engine.step", "unit_engine.step" for both unit engines,
+/// "improved_engine.step", "multires_engine.step").
 void check(const char* site);
 
 }  // namespace sharedres::util::deadline

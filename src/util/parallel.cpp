@@ -14,23 +14,6 @@
 
 namespace sharedres::util {
 
-namespace {
-
-thread_local bool t_in_parallel_region = false;
-
-/// RAII setter for the region flag; workers construct one before touching
-/// the body so any parallel entry point reached from the body serializes.
-struct RegionGuard {
-  RegionGuard() { t_in_parallel_region = true; }
-  ~RegionGuard() { t_in_parallel_region = false; }
-  RegionGuard(const RegionGuard&) = delete;
-  RegionGuard& operator=(const RegionGuard&) = delete;
-};
-
-}  // namespace
-
-bool in_parallel_region() { return t_in_parallel_region; }
-
 std::size_t default_threads(std::size_t max_threads) {
   if (const char* env = std::getenv("SHAREDRES_THREADS")) {
     const std::string value(env);
@@ -164,7 +147,6 @@ void WorkerPool::worker_main(std::size_t index) {
     not_full_.notify_one();
     try {
       SHAREDRES_FAILPOINT("pool.task");
-      const RegionGuard region;
       task(index);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -184,13 +166,6 @@ void parallel_chunks(std::size_t count,
   // worker and dispatch counts depend on the thread count, hence volatile.
   SHAREDRES_OBS_COUNT("parallel.invocations");
   SHAREDRES_OBS_COUNT_N("parallel.items", count);
-  if (t_in_parallel_region) {
-    // Nested fan-out serializes (see in_parallel_region). Structural: a
-    // nested call site is nested at every thread count.
-    SHAREDRES_OBS_COUNT("parallel.nested_serialized");
-    body(ctx, 0, count);
-    return;
-  }
   if (threads <= 1 || count == 1) {
     SHAREDRES_OBS_GAUGE_SET_V("parallel.threads_last", 1);
     body(ctx, 0, count);
@@ -215,7 +190,6 @@ void parallel_chunks(std::size_t count,
     std::uint64_t dispatches = 0;
     try {
       SHAREDRES_FAILPOINT("parallel.worker");
-      const RegionGuard region;
       const std::size_t begin = static_total * t / workers;
       const std::size_t end = static_total * (t + 1) / workers;
       if (begin < end) body(ctx, begin, end);
@@ -231,55 +205,6 @@ void parallel_chunks(std::size_t count,
       }
     } catch (...) {
       SHAREDRES_OBS_COUNT_N_V("parallel.dynamic_dispatches", dispatches);
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker, t);
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_chunks_static(std::size_t count,
-                            void (*body)(void* ctx, std::size_t begin,
-                                         std::size_t end),
-                            void* ctx, std::size_t threads) {
-  if (count == 0) return;
-  SHAREDRES_OBS_COUNT("parallel.invocations");
-  SHAREDRES_OBS_COUNT_N("parallel.items", count);
-  if (t_in_parallel_region) {
-    SHAREDRES_OBS_COUNT("parallel.nested_serialized");
-    body(ctx, 0, count);
-    return;
-  }
-  if (threads <= 1 || count == 1) {
-    SHAREDRES_OBS_GAUGE_SET_V("parallel.threads_last", 1);
-    body(ctx, 0, count);
-    return;
-  }
-
-  const std::size_t workers = std::min(threads, count);
-  SHAREDRES_OBS_GAUGE_SET_V("parallel.threads_last",
-                            static_cast<std::int64_t>(workers));
-  SHAREDRES_OBS_COUNT_N_V("parallel.workers_launched", workers);
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  // One even contiguous range per worker, fixed by (count, workers) alone:
-  // no cursor, no stealing, so which indices land together never depends on
-  // scheduling. Callers trade tail-latency robustness for reproducible
-  // chunk boundaries.
-  auto worker = [&](std::size_t t) {
-    try {
-      SHAREDRES_FAILPOINT("parallel.worker");
-      const RegionGuard region;
-      const std::size_t begin = count * t / workers;
-      const std::size_t end = count * (t + 1) / workers;
-      if (begin < end) body(ctx, begin, end);
-    } catch (...) {
       const std::lock_guard<std::mutex> lock(error_mutex);
       if (!first_error) first_error = std::current_exception();
     }

@@ -45,14 +45,6 @@ namespace sharedres::util {
 /// An empty value counts as unset.
 [[nodiscard]] std::size_t default_threads(std::size_t max_threads = 64);
 
-/// True on a thread currently executing inside a parallel_for /
-/// parallel_for_ranges worker or a WorkerPool task. Parallel entry points
-/// consult it to serialize instead of spawning: nested fan-out (a batch
-/// worker whose engine run reaches the intra-instance parallel path) would
-/// oversubscribe the machine and deadlock a bounded pool, so the inner call
-/// simply runs its body inline on the calling thread.
-[[nodiscard]] bool in_parallel_region();
-
 namespace detail {
 
 /// Type-erased chunk dispatcher: invokes body(ctx, begin, end) over disjoint
@@ -63,18 +55,6 @@ void parallel_chunks(std::size_t count,
                      void (*body)(void* ctx, std::size_t begin,
                                   std::size_t end),
                      void* ctx, std::size_t threads);
-
-/// Static-partition variant: worker t receives exactly the contiguous range
-/// [count·t/T, count·(t+1)/T) — no dynamic tail, no work stealing. The
-/// range-to-worker map is a pure function of (count, threads), so a body
-/// whose writes depend only on the indices it receives produces bit-identical
-/// results at every thread count (the engine determinism contract,
-/// DESIGN.md §12). Exceptions are captured and the first rethrown on the
-/// calling thread after all workers join.
-void parallel_chunks_static(std::size_t count,
-                            void (*body)(void* ctx, std::size_t begin,
-                                         std::size_t end),
-                            void* ctx, std::size_t threads);
 
 }  // namespace detail
 
@@ -90,26 +70,6 @@ void parallel_for(std::size_t count, Fn&& fn,
       [](void* ctx, std::size_t begin, std::size_t end) {
         Body& body = *static_cast<Body*>(ctx);
         for (std::size_t i = begin; i < end; ++i) body(i);
-      },
-      const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-      threads);
-}
-
-/// Invoke fn(begin, end) over disjoint ranges covering [0, count) on a
-/// deterministic static partition (see detail::parallel_chunks_static).
-/// Use this instead of parallel_for when the *chunk boundaries themselves*
-/// must not depend on scheduling — e.g. the intra-instance engine path,
-/// whose output must be bit-identical across SHAREDRES_THREADS. Serializes
-/// when called from inside another parallel region.
-template <class Fn>
-void parallel_for_ranges(std::size_t count, Fn&& fn,
-                         std::size_t threads = default_threads()) {
-  using Body = std::remove_reference_t<Fn>;
-  detail::parallel_chunks_static(
-      count,
-      [](void* ctx, std::size_t begin, std::size_t end) {
-        Body& body = *static_cast<Body*>(ctx);
-        body(begin, end);
       },
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
       threads);

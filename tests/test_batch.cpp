@@ -19,6 +19,7 @@
 #include "batch/stream.hpp"
 #include "batch/worker.hpp"
 #include "cache/canonical.hpp"
+#include "core/algorithm.hpp"
 #include "core/improved_scheduler.hpp"
 #include "core/instance.hpp"
 #include "core/lower_bounds.hpp"
@@ -27,6 +28,7 @@
 #include "core/sos_engine.hpp"
 #include "core/sos_scheduler.hpp"
 #include "core/unit_engine.hpp"
+#include "core/unit_prefix_engine.hpp"
 #include "core/validator.hpp"
 #include "io/text_io.hpp"
 #include "util/error.hpp"
@@ -444,6 +446,25 @@ TEST(BatchReset, UnitEngineResetMatchesFreshEngineAcrossInstances) {
     fresh.run(fresh_out);
     EXPECT_EQ(reused_out, fresh_out);
     EXPECT_TRUE(core::validate(inst, reused_out).ok);
+  }
+
+  // The unit row through one EngineScratch, alternating walk records with
+  // prefix-regime ones (a heavy first m-window, or n ≤ m).
+  const std::vector<core::Instance> alternating = {
+      instances[0],
+      workloads::uniform_instance(config(10, 40, 1), 0.3, 0.6),
+      instances[2],
+      instances[1],
+  };
+  core::EngineScratch scratch;
+  for (std::size_t i = 0; i < alternating.size(); ++i) {
+    const core::Instance& inst = alternating[i];
+    EXPECT_EQ(core::UnitPrefixEngine::applies(inst), i % 2 == 1);
+    core::solve(core::kUnitAlgorithm, inst, scratch, reused_out);
+    core::UnitEngine fresh(inst);
+    core::Schedule fresh_out;
+    fresh.run(fresh_out);
+    EXPECT_EQ(reused_out, fresh_out);
   }
 }
 

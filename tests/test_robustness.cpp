@@ -11,11 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "core/algorithm.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/sos_engine.hpp"
 #include "core/sos_scheduler.hpp"
 #include "core/unit_engine.hpp"
+#include "core/unit_prefix_engine.hpp"
 #include "core/validator.hpp"
 #include "io/text_io.hpp"
 #include "test_support.hpp"
@@ -331,6 +333,26 @@ TEST(FaultInjection, UnitEngineGivesStrongGuaranteeForOut) {
   Schedule recovered;
   fresh.run(recovered);
   EXPECT_TRUE(core::validate(inst, recovered).ok);
+
+  // The prefix-regime engine, which core::solve picks for this input, runs
+  // under the same site: the fault discards the block already appended.
+  const Instance heavy(3, 10, {Job{1, 4}, Job{1, 5}, Job{1, 6}, Job{1, 8},
+                               Job{1, 9}});
+  ASSERT_TRUE(core::UnitPrefixEngine::applies(heavy));
+  core::EngineScratch scratch;
+  Schedule solved;
+  fp::arm("unit_engine.step", 2);
+  try {
+    core::solve(core::kUnitAlgorithm, heavy, scratch, solved);
+    FAIL() << "expected injected fault";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInjectedFault);
+  }
+  EXPECT_TRUE(solved.empty())
+      << "partially emitted schedule escaped the rollback";
+  fp::reset();
+  core::solve(core::kUnitAlgorithm, heavy, scratch, solved);
+  EXPECT_TRUE(core::validate(heavy, solved).ok);
 }
 
 TEST(FaultInjection, ScheduleMarkRollbackRestoresMergedBlock) {

@@ -1,16 +1,28 @@
 // Tests of the unit-size variant (m-maximal windows, virtual reordering of
 // the single started job) and its improved ratio m/(m−1) (paper, discussion
-// below Theorem 3.3).
+// below Theorem 3.3), including the prefix-regime engine against the walk.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "core/algorithm.hpp"
+#include "core/improved_scheduler.hpp"
 #include "core/lower_bounds.hpp"
 #include "core/schedule.hpp"
 #include "core/sos_scheduler.hpp"
 #include "core/unit_engine.hpp"
+#include "core/unit_prefix_engine.hpp"
 #include "core/validator.hpp"
+#include "obs/registry.hpp"
 #include "test_support.hpp"
+#include "util/deadline.hpp"
+#include "util/error.hpp"
 #include "workloads/sos_generators.hpp"
 
 namespace sharedres {
@@ -190,6 +202,185 @@ TEST(UnitEngine, ObserverDoesNotChangeEmittedSchedule) {
 TEST(UnitEngine, RejectsNonUnitSizes) {
   const Instance inst(3, 10, {Job{2, 3}});
   EXPECT_INVALID_INSTANCE((void)core::schedule_sos_unit(inst));
+}
+
+// ---- the prefix-regime engine (core/unit_prefix_engine.hpp) --------------
+
+using Counters = std::map<std::string, std::uint64_t>;
+
+/// The engine.unit.* counters one call of `run` adds, minus the ones that
+/// tell the two paths apart (the walk-only ones and prefix_runs).
+template <class Run>
+Counters unit_counters(Run&& run) {
+  constexpr std::string_view kPrefix = "engine.unit.";
+  obs::Registry::global().reset_values();
+  run();
+  Counters out;
+  for (const auto& view : obs::Registry::global().metrics()) {
+    if (view.kind != obs::Kind::kCounter || !view.name.starts_with(kPrefix)) {
+      continue;
+    }
+    const std::string key = view.name.substr(kPrefix.size());
+    if (key != "walk_hops" && key != "iota_resumes" &&
+        key != "cursor_resumes" && key != "window_rebuilds" &&
+        key != "prefix_runs") {
+      out.emplace(key, view.counter->value());
+    }
+  }
+  return out;
+}
+
+std::uint64_t prefix_runs() {
+  return obs::Registry::global().counter("engine.unit.prefix_runs").value();
+}
+
+/// Every window turns heavy within ≤ 500 of its m = 512 members.
+Instance heavy_instance(std::size_t jobs, std::uint64_t seed) {
+  workloads::SosConfig cfg;
+  cfg.machines = 512;
+  cfg.capacity = 1'000'000;
+  cfg.jobs = jobs;
+  cfg.max_size = 1;
+  cfg.seed = seed;
+  return workloads::uniform_instance(cfg, 0.002, 0.004);
+}
+
+TEST(UnitPrefixEngine, MatchesWalkOracleOnSchedulesAndCounters) {
+  // Inputs on both sides of the selection test: the generator families at
+  // m = 8; jobs at, above and far above C, where block counts (not just
+  // step contents) must match the walk's solo fast-forward and merge
+  // decisions; a heavy m = 512 instance; and the unit-size uniform
+  // instances `sharedres_cli gen` makes at m = 128 and m = 4.
+  std::vector<std::pair<std::string, Instance>> cases;
+  workloads::SosConfig cfg;
+  cfg.machines = 8;
+  cfg.capacity = 1'000'000;
+  cfg.jobs = 3'000;
+  cfg.max_size = 1;
+  cfg.seed = 5;
+  for (const std::string& family : workloads::instance_families()) {
+    cases.emplace_back(family, workloads::make_instance(family, cfg));
+  }
+  cases.emplace_back("front_accumulation",
+                     workloads::front_accumulation_instance(cfg));
+  const Res cap = 1'000;
+  for (const std::vector<Res>& reqs :
+       {std::vector<Res>{cap}, std::vector<Res>{cap - 1, cap, cap + 1},
+        std::vector<Res>{1, 2, 7 * cap + 3},
+        std::vector<Res>{500, 500, 500, 3 * cap},
+        std::vector<Res>{cap, cap, cap}}) {
+    cases.emplace_back("solo/n=" + std::to_string(reqs.size()),
+                       unit_instance(4, cap, reqs));
+  }
+  cases.emplace_back("heavy/m=512", heavy_instance(20'000, 11));
+  for (const int m : {128, 4}) {
+    cfg.machines = m;
+    cfg.jobs = 4'000;
+    cfg.seed = 9;
+    cases.emplace_back("cli/m=" + std::to_string(m),
+                       workloads::make_instance("uniform", cfg));
+  }
+
+  std::size_t engaged = 0;
+  for (const auto& [name, inst] : cases) {
+    core::Schedule walk;
+    const Counters walk_counters =
+        unit_counters([&] { core::UnitEngine(inst).run(walk, true); });
+    core::Schedule stepwise;
+    core::UnitEngine(inst).run(stepwise, false);
+    EXPECT_EQ(stepwise, walk) << name;
+    EXPECT_EQ(core::schedule_sos_unit(inst), walk) << name;
+    if (!core::UnitPrefixEngine::applies(inst)) continue;
+    ++engaged;
+    core::Schedule prefix;
+    const Counters prefix_counters =
+        unit_counters([&] { core::UnitPrefixEngine(inst).run(prefix); });
+    EXPECT_EQ(prefix, walk) << name;
+    EXPECT_EQ(prefix.blocks().size(), walk.blocks().size()) << name;
+    EXPECT_EQ(prefix_counters, walk_counters) << name;
+    if (obs::enabled()) {
+      EXPECT_GT(prefix_counters.at("blocks"), 0u) << name;
+    }
+    const auto check = core::validate(inst, prefix);
+    EXPECT_TRUE(check.ok) << name << ": " << check.error;
+  }
+  // Both sides of the selection test are exercised.
+  EXPECT_GE(engaged, 8u);
+  EXPECT_LT(engaged, cases.size());
+}
+
+TEST(UnitPrefixEngine, SelectionTestSitsAtTheFirstMWindow) {
+  // m = 4, C = 100: the four smallest requirements sum to C − 1, to C, and
+  // n = m (no window can ever hit the member cap with jobs to its right).
+  // The front-accumulation family, every m-window light, slides at once.
+  const Instance below = unit_instance(4, 100, {24, 25, 25, 25, 60, 70});
+  const Instance at = unit_instance(4, 100, {25, 25, 25, 25, 60, 70});
+  const Instance few = unit_instance(4, 100, {1, 2, 3, 4});
+  workloads::SosConfig cfg;
+  cfg.machines = 8;
+  cfg.capacity = 1'000'000;
+  cfg.jobs = 3'000;
+  cfg.seed = 5;
+  const Instance front = workloads::front_accumulation_instance(cfg);
+  EXPECT_FALSE(core::UnitPrefixEngine::applies(below));
+  EXPECT_TRUE(core::UnitPrefixEngine::applies(at));
+  EXPECT_TRUE(core::UnitPrefixEngine::applies(few));
+  EXPECT_FALSE(core::UnitPrefixEngine::applies(front));
+  if (!obs::enabled()) GTEST_SKIP() << "built without SHAREDRES_OBS";
+
+  obs::Registry& reg = obs::Registry::global();
+  for (const auto& [inst, runs] :
+       {std::pair{&below, 0u}, std::pair{&at, 1u}, std::pair{&few, 1u},
+        std::pair{&front, 0u}}) {
+    reg.reset_values();
+    const core::Schedule s = core::schedule_sos_unit(*inst);
+    EXPECT_EQ(prefix_runs(), runs);
+    EXPECT_EQ(s, core::schedule_sos_unit(*inst, {.fast_forward = false}));
+  }
+  // Stepwise runs and observers stay on the walk.
+  reg.reset_values();
+  (void)core::schedule_sos_unit(at, {.fast_forward = false});
+  core::RecordingObserver observer;
+  (void)core::schedule_sos_unit(at, {.observer = &observer});
+  EXPECT_EQ(prefix_runs(), 0u);
+  // The improved portfolio's unit candidate takes the same path.
+  reg.reset_values();
+  (void)core::schedule_improved(at);
+  EXPECT_EQ(prefix_runs(), 1u);
+}
+
+TEST(UnitPrefixEngine, DeadlineAbortRollsBackAndScratchStaysReusable) {
+  const Instance heavy = heavy_instance(2'000, 3);
+  workloads::SosConfig cfg;
+  cfg.machines = 4;
+  cfg.capacity = 1'000'000;
+  cfg.jobs = 500;
+  cfg.seed = 3;
+  const Instance walk = workloads::front_accumulation_instance(cfg);
+  ASSERT_TRUE(core::UnitPrefixEngine::applies(heavy));
+  ASSERT_FALSE(core::UnitPrefixEngine::applies(walk));
+
+  core::EngineScratch scratch;
+  core::Schedule out;
+  out.append(3, {core::Assignment{0, 1}});
+  const core::Schedule before = out;
+  {
+    util::deadline::Scope scope({.max_steps = 3, .deadline_ns = 0});
+    try {
+      core::kUnitAlgorithm.solve_into(heavy, scratch, out);
+      FAIL() << "expected the step budget to expire";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.code(), util::ErrorCode::kDeadlineExceeded);
+      EXPECT_NE(std::string(e.what()).find("unit_engine.step"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(out, before) << "partially emitted schedule escaped the rollback";
+  for (const Instance* inst : {&walk, &heavy}) {
+    core::solve(core::kUnitAlgorithm, *inst, scratch, out);
+    EXPECT_EQ(out, core::schedule_sos_unit(*inst, {.fast_forward = false}));
+  }
 }
 
 using UnitParam = std::tuple<int, std::uint64_t>;

@@ -105,7 +105,7 @@ int usage() {
          "  gen      --family=... --machines=M --jobs=N [--resources=d] "
          "[--count=K --format=ndjson] [--out=f]\n"
          "  solve    --instance=f [--algorithm="
-      << rows << "] [--parallel=N] [--gantt] [--stats] "
+      << rows << "] [--gantt] [--stats] "
          "[--svg=f.svg] [--out=f]\n"
          "  validate --instance=f --schedule=f [--json] [--max-violations=N]\n"
          "  bounds   --instance=f\n"
@@ -844,32 +844,11 @@ int cmd_solve(const util::Cli& cli) {
   // a usage error (exit 2) even when the instance file is also bad.
   const core::Algorithm* algorithm = algorithm_flag(cli, "solve");
   if (algorithm == nullptr) return kExitUsage;
-  // --parallel=N engages the descriptor-parallel unit engine with N workers
-  // (0 = scalar, the default). Unit-only: no other algorithm has a parallel
-  // path, and silently ignoring the flag would misreport an experiment.
-  const std::int64_t parallel = cli.get_int("parallel", 0);
-  if (parallel < 0) {
-    std::cerr << "solve: --parallel must be >= 0\n";
-    return kExitUsage;
-  }
-  if (parallel > 0 && algorithm != &core::kUnitAlgorithm) {
-    std::cerr << "solve: --parallel requires --algorithm=unit\n";
-    return kExitUsage;
-  }
   const core::Instance inst = io::load_instance(path);
 
   core::Schedule schedule;
-  if (parallel > 0) {
-    core::SosOptions options;
-    options.parallel_threads = static_cast<std::size_t>(parallel);
-    // The CLI flag is an explicit request: engage regardless of size so
-    // identity scripts can diff small instances through the fast path.
-    options.parallel_min_jobs = 0;
-    schedule = core::schedule_sos_unit(inst, options);
-  } else {
-    core::EngineScratch scratch;
-    core::solve(*algorithm, inst, scratch, schedule);
-  }
+  core::EngineScratch scratch;
+  core::solve(*algorithm, inst, scratch, schedule);
 
   const auto check = core::validate(inst, schedule);
   if (!check.ok) {
