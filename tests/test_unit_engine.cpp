@@ -23,6 +23,7 @@
 #include "test_support.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "workloads/sos_generators.hpp"
 
 namespace sharedres {
@@ -245,68 +246,48 @@ Instance heavy_instance(std::size_t jobs, std::uint64_t seed) {
   return workloads::uniform_instance(cfg, 0.002, 0.004);
 }
 
-TEST(UnitPrefixEngine, MatchesWalkOracleOnSchedulesAndCounters) {
-  // Inputs on both sides of the selection test: the generator families at
-  // m = 8; jobs at, above and far above C, where block counts (not just
-  // step contents) must match the walk's solo fast-forward and merge
-  // decisions; a heavy m = 512 instance; and the unit-size uniform
-  // instances `sharedres_cli gen` makes at m = 128 and m = 4.
-  std::vector<std::pair<std::string, Instance>> cases;
-  workloads::SosConfig cfg;
-  cfg.machines = 8;
-  cfg.capacity = 1'000'000;
-  cfg.jobs = 3'000;
-  cfg.max_size = 1;
-  cfg.seed = 5;
-  for (const std::string& family : workloads::instance_families()) {
-    cases.emplace_back(family, workloads::make_instance(family, cfg));
+/// Checks the default path (`schedule_sos_unit`) and the stepwise walk
+/// against `UnitEngine::run(out, true)` and, where the selection test holds,
+/// the prefix engine on schedules, block counts and the schedule-describing
+/// counters. Returns whether the prefix engine applies.
+bool expect_prefix_matches_walk(const std::string& name, const Instance& inst) {
+  core::Schedule walk;
+  const Counters walk_counters =
+      unit_counters([&] { core::UnitEngine(inst).run(walk, true); });
+  core::Schedule stepwise;
+  core::UnitEngine(inst).run(stepwise, false);
+  EXPECT_EQ(stepwise, walk) << name;
+  EXPECT_EQ(core::schedule_sos_unit(inst), walk) << name;
+  if (!core::UnitPrefixEngine::applies(inst)) return false;
+  core::Schedule prefix;
+  const Counters prefix_counters =
+      unit_counters([&] { core::UnitPrefixEngine(inst).run(prefix); });
+  EXPECT_EQ(prefix, walk) << name;
+  EXPECT_EQ(prefix.blocks().size(), walk.blocks().size()) << name;
+  EXPECT_EQ(prefix_counters, walk_counters) << name;
+  if (obs::enabled()) {
+    EXPECT_GT(prefix_counters.at("blocks"), 0u) << name;
   }
-  cases.emplace_back("front_accumulation",
-                     workloads::front_accumulation_instance(cfg));
-  const Res cap = 1'000;
-  for (const std::vector<Res>& reqs :
-       {std::vector<Res>{cap}, std::vector<Res>{cap - 1, cap, cap + 1},
-        std::vector<Res>{1, 2, 7 * cap + 3},
-        std::vector<Res>{500, 500, 500, 3 * cap},
-        std::vector<Res>{cap, cap, cap}}) {
-    cases.emplace_back("solo/n=" + std::to_string(reqs.size()),
-                       unit_instance(4, cap, reqs));
-  }
-  cases.emplace_back("heavy/m=512", heavy_instance(20'000, 11));
-  for (const int m : {128, 4}) {
-    cfg.machines = m;
-    cfg.jobs = 4'000;
-    cfg.seed = 9;
-    cases.emplace_back("cli/m=" + std::to_string(m),
-                       workloads::make_instance("uniform", cfg));
-  }
+  const auto check = core::validate(inst, prefix);
+  EXPECT_TRUE(check.ok) << name << ": " << check.error;
+  return true;
+}
 
-  std::size_t engaged = 0;
-  for (const auto& [name, inst] : cases) {
-    core::Schedule walk;
-    const Counters walk_counters =
-        unit_counters([&] { core::UnitEngine(inst).run(walk, true); });
-    core::Schedule stepwise;
-    core::UnitEngine(inst).run(stepwise, false);
-    EXPECT_EQ(stepwise, walk) << name;
-    EXPECT_EQ(core::schedule_sos_unit(inst), walk) << name;
-    if (!core::UnitPrefixEngine::applies(inst)) continue;
-    ++engaged;
-    core::Schedule prefix;
-    const Counters prefix_counters =
-        unit_counters([&] { core::UnitPrefixEngine(inst).run(prefix); });
-    EXPECT_EQ(prefix, walk) << name;
-    EXPECT_EQ(prefix.blocks().size(), walk.blocks().size()) << name;
-    EXPECT_EQ(prefix_counters, walk_counters) << name;
-    if (obs::enabled()) {
-      EXPECT_GT(prefix_counters.at("blocks"), 0u) << name;
-    }
-    const auto check = core::validate(inst, prefix);
-    EXPECT_TRUE(check.ok) << name << ": " << check.error;
-  }
-  // Both sides of the selection test are exercised.
-  EXPECT_GE(engaged, 8u);
-  EXPECT_LT(engaged, cases.size());
+TEST(UnitPrefixEngine, MatchesWalkOracleOnSchedulesAndCounters) {
+  // The unit-size uniform instances `sharedres_cli gen --machines=128|4
+  // --jobs=4000 --max-size=1 --seed=9` makes: every window of the first is
+  // heavy, the second slides light windows and stays on the walk.
+  workloads::SosConfig cfg;
+  cfg.capacity = 1'000'000;
+  cfg.jobs = 4'000;
+  cfg.max_size = 1;
+  cfg.seed = 9;
+  cfg.machines = 128;
+  EXPECT_TRUE(expect_prefix_matches_walk(
+      "cli/m=128", workloads::make_instance("uniform", cfg)));
+  cfg.machines = 4;
+  EXPECT_FALSE(expect_prefix_matches_walk(
+      "cli/m=4", workloads::make_instance("uniform", cfg)));
 }
 
 TEST(UnitPrefixEngine, SelectionTestSitsAtTheFirstMWindow) {
@@ -337,16 +318,124 @@ TEST(UnitPrefixEngine, SelectionTestSitsAtTheFirstMWindow) {
     EXPECT_EQ(prefix_runs(), runs);
     EXPECT_EQ(s, core::schedule_sos_unit(*inst, {.fast_forward = false}));
   }
+}
+
+// The prefix engine replaced a thread-fanned descriptor planner and inherits
+// its contract: schedules identical to the walk's in the heavy regime, the
+// walk for every input outside it, and engagement only where the selection
+// test, fast-forward and the absence of an observer allow. These tests keep
+// the planner's suite name.
+
+TEST(ParallelUnitEngine, HeavyRegimeMatchesScalarAtEveryThreadCount) {
+  // The heavy instance solved alone and by 1, 2 and 8 concurrent workers,
+  // each with its own EngineScratch, as batch and serve workers run it.
+  const Instance inst = heavy_instance(20'000, 11);
+  ASSERT_TRUE(expect_prefix_matches_walk("heavy/m=512", inst));
+  const core::Schedule reference = core::schedule_sos_unit(inst);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    std::vector<core::Schedule> outs(threads);
+    util::parallel_for(
+        threads,
+        [&](std::size_t i) {
+          core::EngineScratch scratch;
+          core::solve(core::kUnitAlgorithm, inst, scratch, outs[i]);
+        },
+        threads);
+    for (const core::Schedule& out : outs) {
+      EXPECT_EQ(out, reference) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelUnitEngine, HeavySchedulePassesTheValidator) {
+  const Instance inst = heavy_instance(20'000, 12);
+  ASSERT_TRUE(core::UnitPrefixEngine::applies(inst));
+  obs::Registry::global().reset_values();
+  const core::Schedule s = core::schedule_sos_unit(inst);
+  const auto check = core::validate(inst, s);
+  EXPECT_TRUE(check.ok) << check.error;
+  EXPECT_GE(s.makespan(), core::lower_bounds(inst).combined());
+  if (obs::enabled()) {
+    // The prefix engine must actually have produced this schedule.
+    EXPECT_EQ(prefix_runs(), 1u);
+  }
+}
+
+TEST(ParallelUnitEngine, AllFamiliesMatchScalarIncludingBailFallback) {
+  // The generator families at m = 8 fall on both sides of the selection
+  // test; front_accumulation, the canonical slide workload, is on the walk.
+  workloads::SosConfig cfg;
+  cfg.machines = 8;
+  cfg.capacity = 1'000'000;
+  cfg.jobs = 3'000;
+  cfg.max_size = 1;
+  cfg.seed = 5;
+  std::vector<std::pair<std::string, Instance>> cases;
+  for (const std::string& family : workloads::instance_families()) {
+    cases.emplace_back(family, workloads::make_instance(family, cfg));
+  }
+  cases.emplace_back("front_accumulation",
+                     workloads::front_accumulation_instance(cfg));
+  std::size_t engaged = 0;
+  for (const auto& [name, inst] : cases) {
+    if (expect_prefix_matches_walk(name, inst)) ++engaged;
+  }
+  EXPECT_GE(engaged, 1u);
+  EXPECT_LT(engaged, cases.size());
+}
+
+TEST(ParallelUnitEngine, FrontAccumulationBailsToTheScalarEngine) {
+  workloads::SosConfig cfg;
+  cfg.machines = 8;
+  cfg.capacity = 1'000'000;
+  cfg.jobs = 3'000;
+  cfg.seed = 5;
+  const Instance inst = workloads::front_accumulation_instance(cfg);
+  EXPECT_FALSE(core::UnitPrefixEngine::applies(inst));
+  obs::Registry::global().reset_values();
+  const core::Schedule s = core::schedule_sos_unit(inst);
+  EXPECT_EQ(s, core::schedule_sos_unit(inst, {.fast_forward = false}));
+  if (obs::enabled()) {
+    EXPECT_EQ(prefix_runs(), 0u);
+    EXPECT_GT(obs::Registry::global().counter("engine.unit.runs").value(),
+              0u);
+  }
+}
+
+TEST(ParallelUnitEngine, EngagementPolicyGates) {
+  if (!obs::enabled()) GTEST_SKIP() << "built without SHAREDRES_OBS";
+  const Instance inst = heavy_instance(2'000, 14);
+  ASSERT_TRUE(core::UnitPrefixEngine::applies(inst));
+  obs::Registry& reg = obs::Registry::global();
+
+  // The default run engages with no size floor and no setting.
+  reg.reset_values();
+  (void)core::schedule_sos_unit(inst);
+  EXPECT_EQ(prefix_runs(), 1u);
   // Stepwise runs and observers stay on the walk.
   reg.reset_values();
-  (void)core::schedule_sos_unit(at, {.fast_forward = false});
+  (void)core::schedule_sos_unit(inst, {.fast_forward = false});
   core::RecordingObserver observer;
-  (void)core::schedule_sos_unit(at, {.observer = &observer});
+  (void)core::schedule_sos_unit(inst, {.observer = &observer});
   EXPECT_EQ(prefix_runs(), 0u);
   // The improved portfolio's unit candidate takes the same path.
   reg.reset_values();
-  (void)core::schedule_improved(at);
+  (void)core::schedule_improved(inst);
   EXPECT_EQ(prefix_runs(), 1u);
+}
+
+TEST(ParallelUnitEngine, SoloFastForwardAndExactCapacityJobsMatchScalar) {
+  // Jobs at, above and far above C, where block counts (not just step
+  // contents) must match the walk's solo fast-forward and merge decisions.
+  const Res cap = 1'000;
+  for (const std::vector<Res>& reqs :
+       {std::vector<Res>{cap}, std::vector<Res>{cap - 1, cap, cap + 1},
+        std::vector<Res>{1, 2, 7 * cap + 3},
+        std::vector<Res>{500, 500, 500, 3 * cap},
+        std::vector<Res>{cap, cap, cap}}) {
+    EXPECT_TRUE(expect_prefix_matches_walk(
+        "solo/n=" + std::to_string(reqs.size()), unit_instance(4, cap, reqs)));
+  }
 }
 
 TEST(UnitPrefixEngine, DeadlineAbortRollsBackAndScratchStaysReusable) {
