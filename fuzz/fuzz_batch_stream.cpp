@@ -1,7 +1,10 @@
 // Fuzz harness for the batch NDJSON layer (src/batch/).
 //
-// The first input byte selects the batch algorithm (a row of the algorithm
-// table) and whether schedules are embedded; the rest is fed twice:
+// The first input byte is a selector: its low six bits pick the batch
+// algorithm (a row of the algorithm table), bit 0x40 turns the solve cache
+// on at capacity 2 — eviction churn through prepare_cached/process_cached
+// and the abandoned-entry fallback — and bit 0x80 embeds schedules. The
+// rest is fed twice:
 //
 //   1. line by line through parse_instance_record, asserting the record
 //      contract: rejection is a typed exception (util::Error,
@@ -71,7 +74,8 @@ void fuzz_records(const std::string& doc) {
 void fuzz_pipeline(std::uint8_t selector, const std::string& doc) {
   const auto rows = sharedres::algorithms::all();
   batch::BatchOptions options;
-  options.algorithm = rows[(selector & 0x7f) % rows.size()]->name;
+  options.algorithm = rows[(selector & 0x3f) % rows.size()]->name;
+  options.cache_capacity = (selector & 0x40) != 0 ? 2 : 0;
   options.emit_schedules = (selector & 0x80) != 0;
   options.threads = 1;
   options.queue_capacity = 4;

@@ -1,4 +1,8 @@
-// The batch scheduling pipeline: many instances through one process.
+// The record pipeline under both front ends: `batch` (run_batch below) and
+// the `serve` daemon (src/service). Pipeline owns everything between a
+// front end's reader and its ordered emitter — resolved algorithm,
+// per-record options, optional solve cache, per-worker scratch, worker pool
+// and the final registry merge.
 //
 // run_batch() reads an NDJSON instance stream (see stream.hpp), schedules
 // every record, and writes one result line per record — in input order —
@@ -9,13 +13,13 @@
 //
 // Architecture (DESIGN.md §10):
 //
-//   reader (caller thread) ──▶ bounded WorkerPool queue ──▶ workers
-//                                                            │ parse,
-//                                                            │ solve with
-//                                                            │ reused scratch,
-//                                                            ▼ format
+//   reader ──▶ Pipeline::submit ──▶ bounded WorkerPool queue ──▶ workers
+//                                                                 │ parse,
+//                                                                 │ solve with
+//                                                                 │ reused scratch,
+//                                                                 ▼ format
 //                              ordered emitter (reorder buffer, flushes the
-//                              contiguous prefix) ──▶ output stream
+//                              contiguous prefix) ──▶ output stream / client
 //
 // Determinism contract: the full output byte sequence is identical across
 // `threads` values (including 1) for a given input and options. Three
@@ -39,54 +43,47 @@
 // vectors the engines move into the schedule — engine-internal buffers are
 // recycled across the whole batch.
 //
-// Solve cache (cache_capacity > 0): the reader additionally parses and
-// canonicalizes each record and acquires a cache handle *in input order*, so
-// every cache decision (hit/miss, eviction) is made before thread scheduling
-// can vary — the cache.* counters in the summary metrics block are
-// thread-count-invariant. Workers then either publish the canonical solve
-// (first occurrence of a key) or wait for it (repeats), and each record
-// de-canonicalizes with its own scale factor, keeping per-record lines
-// byte-identical to a cache-off run. DESIGN.md §11.
+// Solve cache (cache_capacity > 0): submit() additionally parses and
+// canonicalizes each record and acquires a cache handle on the caller's
+// thread, in submission order, so every cache decision (hit/miss, eviction)
+// is made before thread scheduling can vary — the cache.* counters in the
+// summary metrics block are thread-count-invariant. Workers then either
+// publish the canonical solve (first occurrence of a key) or wait for it
+// (repeats), and each record de-canonicalizes with its own scale factor,
+// keeping per-record lines byte-identical to a cache-off run. DESIGN.md §11.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
+#include <memory>
+#include <optional>
 #include <string>
 
-#include "core/types.hpp"
+#include "batch/emitter.hpp"
+#include "batch/worker.hpp"
+#include "cache/solve_cache.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 
 namespace sharedres::batch {
 
-struct BatchOptions {
-  /// A row name of the algorithm table (algorithms/table.hpp). Validated by
-  /// run_batch (util::Error, kCliUsage).
-  std::string algorithm = "window";
-  /// Worker threads; <= 1 runs fully inline on the caller thread (no pool,
-  /// no locks — the path the fuzz harness drives).
+/// Everything `batch` configures: the per-record knobs plus the pool and the
+/// cache around them. service::ServiceOptions extends it with the daemon's
+/// own settings.
+struct PipelineOptions : WorkOptions {
+  /// Worker threads; see Pipeline for when <= 1 runs inline.
   std::size_t threads = 1;
-  /// Bounded submit queue: the reader stalls once this many records are
+  /// Bounded submit queue: submit() stalls once this many records are
   /// waiting, which caps memory no matter how large the stream is.
   std::size_t queue_capacity = 64;
-  /// Embed each feasible schedule (io::write_schedule text) in its result
-  /// line under "schedule".
-  bool emit_schedules = false;
-  /// Step budget applied to records that carry no "deadline_steps" field of
-  /// their own; expiry yields a typed "deadline_exceeded" error line.
-  /// 0 = unlimited. See util/deadline.hpp.
-  std::uint64_t default_deadline_steps = 0;
-  /// Per-record wall-clock budget in milliseconds (0 = none). Inherently
-  /// nondeterministic — never use it in determinism comparisons.
-  std::uint64_t deadline_ms = 0;
   /// > 0 enables the canonical-instance solve cache (src/cache) with this
-  /// many resident entries. Records whose canonical key repeats — job
-  /// permutations, common-factor rescalings — reuse the first solve; the
-  /// per-record output lines stay byte-identical to a cache-off run, and the
-  /// summary grows deterministic cache.* metrics. 0 = off.
+  /// many resident entries (see the file comment). 0 = off.
   std::size_t cache_capacity = 0;
-  /// Shard count for the solve cache (clamped to the capacity).
-  std::size_t cache_shards = 8;
 };
+
+using BatchOptions = PipelineOptions;
 
 /// Aggregate outcome, mirrored by the emitted summary line.
 struct BatchSummary {
@@ -99,6 +96,50 @@ struct BatchSummary {
   /// The deterministic metrics section of the merged per-worker registries
   /// (obs::deterministic_json shape).
   util::Json metrics;
+};
+
+/// The one record path of both front ends. submit() must be called by one
+/// thread at a time (the batch reader; the service under its admission
+/// mutex): that call order is the order the cache's determinism contract is
+/// defined over.
+class Pipeline {
+ public:
+  /// Throws util::Error (kCliUsage) for an unknown algorithm. With
+  /// `run_inline` and options.threads <= 1 there is no pool, no extra thread
+  /// and no lock: submit() solves on the caller's thread (run_batch's
+  /// single-thread path, the one the fuzz harness drives) — byte-identical
+  /// to the pooled path by construction. Otherwise a WorkerPool of
+  /// options.threads workers runs the records; a daemon always wants one,
+  /// because it must keep accepting while a solve runs.
+  Pipeline(const PipelineOptions& options, bool run_inline);
+  Pipeline(const Pipeline&) = delete;
+  Pipeline& operator=(const Pipeline&) = delete;
+
+  /// Schedule `line` as record `index` of `emitter`'s stream; its result
+  /// line is emitted there. Blocks while the pool queue is full. The task
+  /// holds `emitter` until the line is emitted.
+  void submit(std::size_t index, std::string line,
+              std::shared_ptr<OrderedEmitter> emitter);
+
+  /// Records queued but not yet picked up by a worker (0 without a pool).
+  [[nodiscard]] std::size_t pending() const;
+
+  /// Drain the pool and merge the per-worker registries, plus the cache.*
+  /// metrics, into the summary. Rethrows the first worker std::logic_error
+  /// (a library bug). Idempotent; submit() afterwards is a logic error.
+  [[nodiscard]] BatchSummary finish();
+
+ private:
+  [[nodiscard]] std::string run(std::size_t index, const std::string& line,
+                                CachedWork* work, std::size_t worker);
+
+  WorkOptions work_;
+  std::optional<cache::SolveCache> cache_;
+  /// Deque: WorkerScratch holds a Registry (neither movable nor copyable),
+  /// and worker threads hold references across emplacement of later slots.
+  std::deque<WorkerScratch> scratch_;
+  /// Declared last so it is destroyed (joined) before what its tasks use.
+  std::optional<util::WorkerPool> pool_;
 };
 
 /// Run the whole stream; returns the summary that was also written as the

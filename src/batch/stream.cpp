@@ -71,13 +71,16 @@ struct Scanner {
       ++p;
     }
     const char* digits = p;
-    std::int64_t v = 0;
+    // Unsigned: a longer digit run may wrap before the length check below
+    // rejects it, and unsigned wrap-around is defined.
+    std::uint64_t v = 0;
     while (p < end && *p >= '0' && *p <= '9') {
-      v = v * 10 + (*p - '0');
+      v = v * 10 + static_cast<std::uint64_t>(*p - '0');
       ++p;
     }
     if (p == digits || p - digits > 15) return false;
-    out = neg ? -v : v;
+    const auto value = static_cast<std::int64_t>(v);
+    out = neg ? -value : value;
     return true;
   }
   /// String with no escapes and no control bytes (either would need the DOM

@@ -121,7 +121,7 @@ std::string process_cached(CachedWork& work, std::size_t index,
   rec.index = index;
   rec.id = work.record.id;
   scratch.metrics.counter("batch.records").inc();
-  // No id salvage needed on failure: the front end parsed the line, so
+  // No id salvage needed on failure: Pipeline::submit parsed the line, so
   // rec.id already carries whatever label the record had.
   fail_typed(rec, scratch, [&] {
     const core::Instance& inst = work.record.instance;

@@ -1,12 +1,7 @@
-// Per-record solve processing — the unit of work shared by the batch
-// pipeline (src/batch/pipeline.cpp) and the persistent scheduling service
-// (src/service). One input NDJSON line in, one formatted result line out,
-// against per-worker reusable scratch.
-//
-// Extracted from pipeline.cpp when the service arrived (DESIGN.md §13): the
-// service's determinism contract — a served request's response line is
-// byte-identical to what `batch` would emit for the same record — holds by
-// construction because both front ends call the same process_record().
+// Per-record solve processing — the unit of work batch::Pipeline
+// (pipeline.hpp) runs for both front ends, `batch` and the scheduling
+// service (src/service). One input NDJSON line in, one formatted result
+// line out, against per-worker reusable scratch.
 //
 // Deadline contract: a record carrying "deadline_steps":N (or a nonzero
 // WorkOptions::default_deadline_steps / deadline_ns) runs its solve under a
@@ -44,9 +39,8 @@ struct alignas(util::kCacheLineSize) WorkerScratch {
   obs::Registry metrics{/*ring_capacity=*/1};
 };
 
-/// The per-record processing knobs — the subset of BatchOptions /
-/// ServiceOptions that the worker needs, decoupled so the two front ends
-/// can share it.
+/// The per-record processing knobs — the base of PipelineOptions, and all
+/// of it the worker needs.
 struct WorkOptions {
   /// A row name of the algorithm table (algorithms/table.hpp). Callers
   /// validate it up front.
@@ -92,10 +86,10 @@ void solve_record_fields(const core::Instance& inst,
                                          const WorkOptions& options,
                                          WorkerScratch& scratch);
 
-// ---- solve-cache path (shared by the batch pipeline and the service) ------
+// ---- solve-cache path (Pipeline::submit) -----------------------------------
 
-/// A record the front end already parsed, canonicalized, and registered with
-/// the solve cache. Everything a worker needs travels in here; the handle
+/// A record Pipeline::submit already parsed, canonicalized, and registered
+/// with the solve cache. Everything a worker needs travels in here; the handle
 /// decides whether the worker produces the canonical solve or waits for it.
 struct CachedWork {
   InstanceRecord record;
@@ -104,15 +98,16 @@ struct CachedWork {
 };
 
 /// Parse + canonicalize `line` and acquire its cache handle. MUST be called
-/// on the stream's serialization point — the batch reader in input order,
-/// the service under its admission mutex — because acquire() order is what
-/// the cache's determinism contract is defined over (solve_cache.hpp).
+/// on the stream's serialization point — Pipeline::submit, which the batch
+/// reader calls in input order and the service under its admission mutex —
+/// because acquire() order is what the cache's determinism contract is
+/// defined over (solve_cache.hpp).
 /// nullopt means the line could not be prepared; the caller processes it
 /// uncached and emits the identical error record.
 [[nodiscard]] std::optional<CachedWork> prepare_cached(
     const std::string& line, cache::SolveCache& cache);
 
-/// Cached counterpart of process_record for records the front end
+/// Cached counterpart of process_record for records Pipeline::submit
 /// successfully prepared. The output line is byte-identical to what
 /// process_record would emit: makespan, lower bound, block structure, and
 /// (de-canonicalized) schedule text are all invariant across the canonical

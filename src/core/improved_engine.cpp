@@ -43,7 +43,9 @@ void ImprovedEngine::reset(const Instance& instance, Params params) {
   unstarted_ = n;
 
   active_.clear();
-  active_.reserve(params_.machine_cap);
+  // At most n jobs are ever active, so min(m, n) is all the capacity the
+  // run needs; reserving m outright dies on a huge `machines`.
+  active_.reserve(std::min<std::size_t>(params_.machine_cap, n));
   absorber_ = kNoJob;
   core_req_ = 0;
   remaining_jobs_ = n;

@@ -58,7 +58,9 @@ void MultiResEngine::reset(const Instance& instance, Params params) {
   unstarted_ = n;
 
   active_.clear();
-  active_.reserve(params_.machine_cap);
+  // At most n jobs are ever active, so min(m, n) is all the capacity the
+  // run needs; reserving m outright dies on a huge `machines`.
+  active_.reserve(std::min<std::size_t>(params_.machine_cap, n));
   remaining_jobs_ = n;
   now_ = 0;
   finished_scratch_.clear();

@@ -1,10 +1,9 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <utility>
 
-#include "algorithms/table.hpp"
 #include "batch/stream.hpp"
-#include "obs/json_export.hpp"
 #include "obs/registry.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
@@ -12,28 +11,17 @@
 
 namespace sharedres::service {
 
-Service::Service(const ServiceOptions& options) : options_(options) {
-  (void)algorithms::require(options_.algorithm);
+Service::Service(const ServiceOptions& options)
+    : options_(options), pipeline_(options_, /*run_inline=*/false) {
   // A high-water mark above the queue capacity could never trigger (the
   // queue cannot get that deep), turning shedding into silent backpressure
   // — clamp so "shedding on" always means "shed instead of block".
-  if (options_.shed_high_water > options_.queue_capacity) {
-    options_.shed_high_water = options_.queue_capacity;
-  }
-  work_options_.algorithm = options_.algorithm;
-  work_options_.emit_schedules = options_.emit_schedules;
-  work_options_.default_deadline_steps = options_.default_deadline_steps;
-  work_options_.deadline_ms = options_.deadline_ms;
+  options_.shed_high_water =
+      std::min(options_.shed_high_water, options_.queue_capacity);
   if (!options_.journal_path.empty()) {
     journal_.emplace(options_.journal_path, options_.journal_fsync);
   }
-  if (options_.cache_capacity > 0) {
-    cache_.emplace(cache::SolveCache::Config{options_.cache_capacity,
-                                             options_.cache_shards});
-  }
   start_ns_ = util::deadline::now_ns();
-  pool_.emplace(options_.threads, options_.queue_capacity);
-  for (std::size_t w = 0; w < pool_->threads(); ++w) scratch_.emplace_back();
 }
 
 Service::~Service() {
@@ -97,9 +85,9 @@ bool Service::answer_status(const std::shared_ptr<Client>& client,
   doc.emplace("ok", true);
   doc.emplace("draining", draining_.load(std::memory_order_relaxed));
   // Queue depth is the same live fact the service.queue_depth gauge in the
-  // obs registry tracks; reading the pool directly avoids a registry lookup
+  // obs registry tracks; reading the queue directly avoids a registry lookup
   // and works when obs is compiled out.
-  doc.emplace("queue_depth", static_cast<std::uint64_t>(pool_->pending()));
+  doc.emplace("queue_depth", static_cast<std::uint64_t>(pipeline_.pending()));
   doc.emplace("requests", requests_.load(std::memory_order_relaxed));
   doc.emplace("admitted", admitted_.load(std::memory_order_relaxed));
   doc.emplace("shed", shed_.load(std::memory_order_relaxed));
@@ -141,7 +129,7 @@ void Service::submit(const std::shared_ptr<Client>& client,
   // must not stall behind one client's dead connection.
   std::unique_lock<std::mutex> admission(admission_mutex_);
   if (options_.shed_high_water != 0 &&
-      pool_->pending() >= options_.shed_high_water) {
+      pipeline_.pending() >= options_.shed_high_water) {
     admission.unlock();
     shed_.fetch_add(1, std::memory_order_relaxed);
     SHAREDRES_OBS_COUNT_V("service.shed");
@@ -187,40 +175,19 @@ std::size_t Service::replay(const std::shared_ptr<Client>& client,
 
 void Service::enqueue(const std::shared_ptr<Client>& client, std::size_t index,
                       std::string line) {
-  // Caller holds admission_mutex_. Blocking submit: when shedding is off,
-  // admission applies backpressure exactly like the batch reader (later
-  // submitters then queue on the admission mutex instead of inside the
-  // pool — same observable behavior). With shedding on, the high-water
-  // check in submit() plus the serialization guarantee mean this call
-  // never actually blocks (high water is clamped to queue capacity).
-  if (cache_) {
-    // Parse + canonicalize + acquire here, under the admission mutex: that
-    // serialization is what makes every cache decision (hit/miss, eviction)
-    // independent of worker scheduling, so response bytes and cache.*
-    // metrics match a cache-off run and a single-threaded one. shared_ptr
-    // because std::function requires a copyable callable and CachedWork
-    // (the cache handle) is move-only; FIFO submission keeps a key's
-    // producer task queued before its waiters (no-deadlock guarantee).
-    if (auto work = batch::prepare_cached(line, *cache_)) {
-      auto shared = std::make_shared<batch::CachedWork>(std::move(*work));
-      pool_->submit([this, client, index, shared](std::size_t w) {
-        client->emitter.emit(
-            index, batch::process_cached(*shared, index, work_options_,
-                                         scratch_[w]));
-      });
-      SHAREDRES_OBS_GAUGE_SET_V("service.queue_depth",
-                                static_cast<std::int64_t>(pool_->pending()));
-      return;
-    }
-  }
-  pool_->submit([this, client, index,
-                 record = std::move(line)](std::size_t w) {
-    client->emitter.emit(
-        index, batch::process_record(record, index, work_options_,
-                                     scratch_[w]));
-  });
+  // Caller holds admission_mutex_: the one-submitter-at-a-time order the
+  // pipeline's cache decisions are defined over. Blocking submit: when
+  // shedding is off, admission applies backpressure exactly like the batch
+  // reader (later submitters then queue on the admission mutex instead of
+  // inside the pool — same observable behavior). With shedding on, the
+  // high-water check in submit() plus the serialization guarantee mean this
+  // call never actually blocks (high water is clamped to queue capacity).
+  // The aliasing shared_ptr keeps the client alive until its line is out.
+  pipeline_.submit(index, std::move(line),
+                   std::shared_ptr<batch::OrderedEmitter>(client,
+                                                          &client->emitter));
   SHAREDRES_OBS_GAUGE_SET_V("service.queue_depth",
-                            static_cast<std::int64_t>(pool_->pending()));
+                            static_cast<std::int64_t>(pipeline_.pending()));
 }
 
 void Service::begin_drain() {
@@ -228,10 +195,8 @@ void Service::begin_drain() {
 }
 
 ServiceSummary Service::finish() {
-  if (!finished_) {
-    finished_ = true;
-    pool_->close();  // drain; rethrows the first worker logic_error, if any
-  }
+  finished_ = true;
+  batch::BatchSummary merged = pipeline_.finish();
   ServiceSummary s;
   s.requests = requests_.load(std::memory_order_relaxed);
   s.admitted = admitted_.load(std::memory_order_relaxed);
@@ -242,17 +207,9 @@ ServiceSummary Service::finish() {
   s.status_requests = status_requests_.load(std::memory_order_relaxed);
   s.responses = responses_.load(std::memory_order_relaxed);
   s.drained = true;
-
-  // Worker-order merge, same invariance argument as run_batch: commutative
-  // per-record sums are identical at every thread count.
-  obs::Registry merged(/*ring_capacity=*/1);
-  for (const batch::WorkerScratch& sc : scratch_) merged.merge_from(sc.metrics);
-  // Cache decisions were serialized under the admission mutex, so these
-  // metrics are as order-deterministic as the admission stream itself.
-  if (cache_) cache_->export_metrics(merged);
-  s.ok = merged.counter("batch.records_ok").value();
-  s.failed = merged.counter("batch.records_failed").value();
-  s.metrics = obs::deterministic_json(merged);
+  s.ok = merged.ok;
+  s.failed = merged.failed;
+  s.metrics = std::move(merged.metrics);
   return s;
 }
 

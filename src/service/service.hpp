@@ -2,14 +2,16 @@
 // long-lived daemon (DESIGN.md §13).
 //
 // Front ends (stdio, unix socket — socket_server.hpp) read request lines and
-// call submit(); the Service owns admission control, the bounded WorkerPool,
-// per-worker scratch, the crash journal, and per-client ordered emission.
+// call submit(); the Service owns admission control, shedding, the crash
+// journal, status probes, drain and per-client ordered emission. Everything
+// from an admitted line to its response — cache, pool, per-worker scratch,
+// metrics merge — is the batch::Pipeline that `batch` runs too.
 // One non-blank request line yields EXACTLY ONE response line on the client
 // it arrived on, in that client's arrival order — an admitted request's
 // solve result, or an immediate typed rejection:
 //
 //   admitted  → the same bytes `sharedres_cli batch` would emit for that
-//               record (shared batch::process_record — identical by
+//               record (shared batch::Pipeline — identical by
 //               construction), at the client-local index of arrival.
 //   shed      → {"index":i,"ok":false,"error":{"code":"shed",...}} when the
 //               worker queue is at or past ServiceOptions::shed_high_water.
@@ -29,18 +31,17 @@
 // deterministic pipeline reproduces byte-identical responses for the
 // admitted prefix.
 //
-// Metrics: worker-side batch.* counters accumulate in per-worker registries
-// and are merged (commutative sums) into the summary's deterministic metrics
-// block, exactly like batch. Service-side admission counts are plain fields
-// of the summary line; the global obs registry additionally carries volatile
-// service.shed / service.queue_depth for live inspection (volatile because
-// shedding and queue depth are scheduling artifacts).
+// Metrics: the pipeline's merged batch.* and cache.* counters form the
+// summary's deterministic metrics block — the one batch prints. Service-side
+// admission counts are plain fields of the summary line; the global obs
+// registry additionally carries volatile service.shed / service.queue_depth
+// for live inspection (volatile because shedding and queue depth are
+// scheduling artifacts).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -49,45 +50,27 @@
 #include <vector>
 
 #include "batch/emitter.hpp"
-#include "batch/worker.hpp"
+#include "batch/pipeline.hpp"
 #include "service/journal.hpp"
 #include "util/json.hpp"
-#include "util/parallel.hpp"
 
 namespace sharedres::service {
 
-struct ServiceOptions {
-  /// A row name of the algorithm table (algorithms/table.hpp). The
-  /// constructor throws util::Error (kCliUsage) on an unknown name.
-  std::string algorithm = "window";
-  /// Worker threads (>= 1; the service always runs its pool, unlike batch's
-  /// inline path — a daemon must keep accepting while a solve runs).
-  std::size_t threads = 1;
-  /// Bounded worker queue; admission blocks (backpressure) when it is full
-  /// and shedding is off.
-  std::size_t queue_capacity = 64;
+/// The pipeline's options (batch::PipelineOptions) plus the daemon's own.
+/// The service always runs its pool, even at threads = 1: a daemon must keep
+/// accepting while a solve runs. The solve cache (cache_capacity > 0) is
+/// shared across all client connections; the admission mutex is the
+/// serialization point its determinism contract needs, so per-record
+/// response bytes stay identical to a cache-off run (checked by
+/// scripts/test_service_determinism.sh).
+struct ServiceOptions : batch::PipelineOptions {
   /// Queue depth at which submit() sheds instead of blocking. 0 disables
   /// shedding. Clamped to queue_capacity by the Service constructor.
   std::size_t shed_high_water = 0;
-  bool emit_schedules = false;
-  /// Defaults for records without their own "deadline_steps"; see
-  /// batch::WorkOptions.
-  std::uint64_t default_deadline_steps = 0;
-  std::uint64_t deadline_ms = 0;
   /// Append-only crash journal of admitted request lines; empty = none.
   std::string journal_path;
   /// fsync(2) after every journal append (durability over throughput).
   bool journal_fsync = false;
-  /// > 0 enables the canonical-instance solve cache (src/cache), shared
-  /// across all client connections: repeat instances — equal up to the
-  /// canonical equivalence class — are served from the cached solve. The
-  /// admission mutex is the serialization point the cache's determinism
-  /// contract needs, so per-record response bytes stay identical to a
-  /// cache-off run (checked by scripts/test_service_determinism.sh) and the
-  /// summary grows deterministic cache.* metrics. 0 = off.
-  std::size_t cache_capacity = 0;
-  /// Shard count for the solve cache (clamped to the capacity).
-  std::size_t cache_shards = 8;
 };
 
 /// Totals for the final summary line the front end writes on clean drain.
@@ -127,7 +110,7 @@ class Service {
     std::size_t next_index = 0;
   };
 
-  /// Opens the journal (if configured) and spawns the pool. Throws
+  /// Spawns the pool and opens the journal (if configured). Throws
   /// util::Error: kCliUsage for an unknown algorithm, kIo when the journal
   /// path cannot be opened.
   explicit Service(const ServiceOptions& options);
@@ -199,14 +182,9 @@ class Service {
                      const std::string& line);
 
   ServiceOptions options_;
-  batch::WorkOptions work_options_;
+  batch::Pipeline pipeline_;
   std::optional<Journal> journal_;
-  std::optional<cache::SolveCache> cache_;
   std::uint64_t start_ns_ = 0;  ///< steady-clock birth time for uptime_ms
-  /// Deque, not vector: workers hold references to their slot while later
-  /// slots are emplaced (same reasoning as pipeline.cpp).
-  std::deque<batch::WorkerScratch> scratch_;
-  std::optional<util::WorkerPool> pool_;
   /// Serializes admission (shed check → journal append → enqueue) across
   /// clients: keeps the shed decision atomic with the enqueue, and the
   /// journal exactly equal to the admitted prefix. Rejection emission and

@@ -240,10 +240,16 @@ TEST(BatchPipeline, EveryAlgorithmMatchesItsOneShotEntryPoint) {
       {"multires",
        [](const core::Instance& i) { return core::schedule_multires(i); }},
   };
+  // The huge-m records: an engine that sized its buffers by m instead of n
+  // would die of std::bad_alloc instead of answering.
+  constexpr int kHugeMachines = 2147483647;
   const std::vector<core::Instance> instances = {
       workloads::uniform_instance(config(11)),
       workloads::uniform_instance(config(12, 10, /*max_size=*/1)),
       two_resource_instance(),
+      make(kHugeMachines, 10, {{1, 3}, {1, 4}}),
+      core::Instance(kHugeMachines, {10, 4},
+                     {core::MultiJob{1, {3, 2}}, core::MultiJob{2, {4, 1}}}),
   };
   WorkerScratch scratch;  // one scratch across every row and record
   std::size_t index = 0;
@@ -598,7 +604,6 @@ TEST(BatchCache, EvictionThrashAtCapacityTwoKeepsDeterminism) {
 
   BatchOptions on = off;
   on.cache_capacity = 2;
-  on.cache_shards = 1;
   std::string first_cached;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     on.threads = threads;

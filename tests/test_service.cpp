@@ -231,21 +231,45 @@ TEST(ServiceResponses, UnknownAlgorithmIsRejectedAtConstruction) {
 }
 
 TEST(ServiceResponses, MatchBatchPipelineBytesAtEveryThreadCount) {
-  const std::vector<std::string> lines = request_lines(24);
+  // The last 8 requests repeat the first 8, so a cached run has hits.
+  std::vector<std::string> lines = request_lines(24);
+  const std::vector<std::string> repeats(lines.begin(), lines.begin() + 8);
+  lines.insert(lines.end(), repeats.begin(), repeats.end());
   const std::vector<std::string> reference = batch_reference(lines);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ServiceOptions options;
-    options.threads = threads;
-    Service service(options);
-    CollectingSink sink;
-    auto client = service.open_client(sink.writer());
-    for (const std::string& line : lines) service.submit(client, line);
-    const ServiceSummary summary = service.finish();
-    EXPECT_EQ(summary.requests, lines.size()) << "threads=" << threads;
-    EXPECT_EQ(summary.admitted, lines.size());
-    EXPECT_EQ(summary.responses, lines.size());
-    EXPECT_EQ(sink.snapshot(), reference)
-        << "served bytes must equal batch output, threads=" << threads;
+  for (const std::size_t cache_capacity : {0u, 256u}) {
+    // Both front ends build one summary: the service's metrics block is
+    // the one batch prints for the same stream and options.
+    std::string input;
+    for (const std::string& line : lines) input += line + "\n";
+    std::istringstream in(input);
+    std::ostringstream out;
+    batch::BatchOptions batch_options;
+    batch_options.cache_capacity = cache_capacity;
+    const batch::BatchSummary batch_summary =
+        batch::run_batch(in, out, batch_options);
+    if (cache_capacity > 0) {
+      EXPECT_EQ(batch_summary.metrics.at("counters").at("cache.hits")
+                    .as_double(),
+                8.0);
+    }
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ServiceOptions options;
+      options.threads = threads;
+      options.cache_capacity = cache_capacity;
+      Service service(options);
+      CollectingSink sink;
+      auto client = service.open_client(sink.writer());
+      for (const std::string& line : lines) service.submit(client, line);
+      const ServiceSummary summary = service.finish();
+      EXPECT_EQ(summary.requests, lines.size()) << "threads=" << threads;
+      EXPECT_EQ(summary.admitted, lines.size());
+      EXPECT_EQ(summary.responses, lines.size());
+      EXPECT_EQ(sink.snapshot(), reference)
+          << "served bytes must equal batch output, threads=" << threads
+          << " cache=" << cache_capacity;
+      EXPECT_EQ(summary.metrics.dump(), batch_summary.metrics.dump())
+          << "threads=" << threads << " cache=" << cache_capacity;
+    }
   }
 }
 

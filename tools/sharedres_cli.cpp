@@ -143,15 +143,46 @@ const core::Algorithm* algorithm_flag(const util::Cli& cli,
   return row;
 }
 
-/// --cache[=N] for batch and serve: bare --cache (stored as "true") selects
-/// the default capacity, --cache=N pins it, absent or --cache=0 is off.
-/// Negative (after a usage message) for a negative N.
-std::int64_t cache_flag(const util::Cli& cli, const char* command) {
-  if (!cli.has("cache")) return 0;
-  const std::int64_t capacity =
+/// The flags batch and serve share — --algorithm, --threads, --queue,
+/// --emit-schedules, --deadline-steps, --deadline-ms, --cache[=N] — parsed
+/// into `options`. False after a usage message on a bad value; a negative
+/// deadline reports `deadline_error`. Bare --cache (stored as "true")
+/// selects the default capacity, --cache=N pins it, absent or 0 is off.
+bool pipeline_flags(const util::Cli& cli, const char* command,
+                    const char* deadline_error,
+                    batch::PipelineOptions& options) {
+  // An unknown algorithm is a usage error here (exit 2), before any input is
+  // touched — same policy as `solve`.
+  const core::Algorithm* algorithm = algorithm_flag(cli, command);
+  if (algorithm == nullptr) return false;
+  options.algorithm = algorithm->name;
+  const std::int64_t threads = cli.get_int(
+      "threads", static_cast<std::int64_t>(util::default_threads()));
+  const std::int64_t queue = cli.get_int("queue", 64);
+  if (threads < 1 || queue < 1) {
+    std::cerr << command << ": --threads and --queue must be >= 1\n";
+    return false;
+  }
+  options.threads = static_cast<std::size_t>(threads);
+  options.queue_capacity = static_cast<std::size_t>(queue);
+  options.emit_schedules = cli.has("emit-schedules");
+  const std::int64_t deadline_steps = cli.get_int("deadline-steps", 0);
+  const std::int64_t deadline_ms = cli.get_int("deadline-ms", 0);
+  if (deadline_steps < 0 || deadline_ms < 0) {
+    std::cerr << deadline_error;
+    return false;
+  }
+  options.default_deadline_steps = static_cast<std::uint64_t>(deadline_steps);
+  options.deadline_ms = static_cast<std::uint64_t>(deadline_ms);
+  if (!cli.has("cache")) return true;
+  const std::int64_t cache =
       cli.get("cache", "") == "true" ? 1024 : cli.get_int("cache", 0);
-  if (capacity < 0) std::cerr << command << ": --cache must be >= 0\n";
-  return capacity;
+  if (cache < 0) {
+    std::cerr << command << ": --cache must be >= 0\n";
+    return false;
+  }
+  options.cache_capacity = static_cast<std::size_t>(cache);
+  return true;
 }
 
 int cmd_gen(const util::Cli& cli) {
@@ -273,32 +304,12 @@ int cmd_batch(const util::Cli& cli) {
   }
 
   batch::BatchOptions options;
-  // run_batch re-validates, but an unknown algorithm is a usage error here
-  // (exit 2), before any input is touched — same policy as `solve`.
-  const core::Algorithm* algorithm = algorithm_flag(cli, "batch");
-  if (algorithm == nullptr) return kExitUsage;
-  options.algorithm = algorithm->name;
-  const std::int64_t threads = cli.get_int(
-      "threads", static_cast<std::int64_t>(util::default_threads()));
-  const std::int64_t queue = cli.get_int("queue", 64);
-  if (threads < 1 || queue < 1) {
-    std::cerr << "batch: --threads and --queue must be >= 1\n";
+  if (!pipeline_flags(cli, "batch",
+                      "batch: --deadline-steps and --deadline-ms must be "
+                      ">= 0\n",
+                      options)) {
     return kExitUsage;
   }
-  options.threads = static_cast<std::size_t>(threads);
-  options.queue_capacity = static_cast<std::size_t>(queue);
-  options.emit_schedules = cli.has("emit-schedules");
-  const std::int64_t deadline_steps = cli.get_int("deadline-steps", 0);
-  const std::int64_t deadline_ms = cli.get_int("deadline-ms", 0);
-  if (deadline_steps < 0 || deadline_ms < 0) {
-    std::cerr << "batch: --deadline-steps and --deadline-ms must be >= 0\n";
-    return kExitUsage;
-  }
-  options.default_deadline_steps = static_cast<std::uint64_t>(deadline_steps);
-  options.deadline_ms = static_cast<std::uint64_t>(deadline_ms);
-  const std::int64_t cache = cache_flag(cli, "batch");
-  if (cache < 0) return kExitUsage;
-  options.cache_capacity = static_cast<std::size_t>(cache);
 
   const std::string out_path = cli.get("out", "");
   std::ofstream out_file;
@@ -364,38 +375,19 @@ bool signal_seen() {
 
 int cmd_serve(const util::Cli& cli) {
   service::ServiceOptions options;
-  const core::Algorithm* algorithm = algorithm_flag(cli, "serve");
-  if (algorithm == nullptr) return kExitUsage;
-  options.algorithm = algorithm->name;
-  const std::int64_t threads = cli.get_int(
-      "threads", static_cast<std::int64_t>(util::default_threads()));
-  const std::int64_t queue = cli.get_int("queue", 64);
+  constexpr const char* kRangeError =
+      "serve: --shed-high-water/--deadline-steps/--deadline-ms must be >= 0, "
+      "--max-connections >= 1\n";
+  if (!pipeline_flags(cli, "serve", kRangeError, options)) return kExitUsage;
   const std::int64_t shed = cli.get_int("shed-high-water", 0);
-  const std::int64_t deadline_steps = cli.get_int("deadline-steps", 0);
-  const std::int64_t deadline_ms = cli.get_int("deadline-ms", 0);
   const std::int64_t max_conns = cli.get_int("max-connections", 64);
-  if (threads < 1 || queue < 1) {
-    std::cerr << "serve: --threads and --queue must be >= 1\n";
+  if (shed < 0 || max_conns < 1) {
+    std::cerr << kRangeError;
     return kExitUsage;
   }
-  if (shed < 0 || deadline_steps < 0 || deadline_ms < 0 || max_conns < 1) {
-    std::cerr << "serve: --shed-high-water/--deadline-steps/--deadline-ms "
-                 "must be >= 0, --max-connections >= 1\n";
-    return kExitUsage;
-  }
-  options.threads = static_cast<std::size_t>(threads);
-  options.queue_capacity = static_cast<std::size_t>(queue);
   options.shed_high_water = static_cast<std::size_t>(shed);
-  options.default_deadline_steps =
-      static_cast<std::uint64_t>(deadline_steps);
-  options.deadline_ms = static_cast<std::uint64_t>(deadline_ms);
-  options.emit_schedules = cli.has("emit-schedules");
   options.journal_path = cli.get("journal", "");
   options.journal_fsync = cli.has("journal-fsync");
-  // One cache shared across all client connections.
-  const std::int64_t cache = cache_flag(cli, "serve");
-  if (cache < 0) return kExitUsage;
-  options.cache_capacity = static_cast<std::size_t>(cache);
   const bool replay = cli.has("replay");
   const std::string socket_path = cli.get("socket", "");
   if (replay && options.journal_path.empty()) {
