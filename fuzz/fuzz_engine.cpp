@@ -9,9 +9,14 @@
 //   * the validator: the emitted schedule must satisfy V1–V5 exactly;
 //   * the lower bound: makespan ≥ lower_bounds(inst).combined().
 //
-// Both are also checked stepwise ≡ fast-forward; for schedule_sos_unit that
-// compares the prefix-regime engine against the walk whenever the input
-// passes its selection test (core/unit_prefix_engine.hpp).
+// Both are also checked stepwise ≡ fast-forward. That compares the restart
+// hint of both walks (core/window_hint.hpp: an emptied window resumes at
+// the previous restart's right end) against the literal walk from the head,
+// and for schedule_sos_unit the prefix-regime engine against the walk
+// whenever the input passes its selection test
+// (core/unit_prefix_engine.hpp). The `restart-*` corpus seeds (m = 2–4)
+// reach the hint's edge cases: the hinted job already finished, the hint
+// is the last alive job, and fewer than k jobs are left of it.
 //
 // schedule_improved runs through the same two oracles plus a third,
 // differential one: the portfolio picks the best of its candidates, so its

@@ -87,6 +87,9 @@ void SosEngine::reset(const Instance& instance, Params params) {
   next_[tail_] = tail_;
   prev_[head_] = head_;
   remaining_jobs_ = n;
+  alive_.reset(n);
+  hint_ = 0;
+  hinted_ = false;
 
   wl_ = wr_ = kNoJob;
   wsize_ = 0;
@@ -174,6 +177,7 @@ void SosEngine::finish_job(JobId j) {
   }
   next_[prev_[j]] = next_[j];
   prev_[next_[j]] = prev_[j];
+  alive_.erase(j);
   --remaining_jobs_;
 }
 
@@ -182,6 +186,24 @@ void SosEngine::prepare_step() {
   // Finished jobs were already dropped from W by finish_job (equivalent to
   // Listing 1 line 2, W ← W ∩ J(t−1)).
   std::uint64_t hops = 0;
+
+  // An empty window restarts the walk. Every started job is a window member
+  // until it finishes, so no started job is alive here and MoveWindowRight
+  // stops only at the first heavy window or the end of the list. Fast-
+  // forward runs seed the window that walk passes through at the last
+  // restart's right end (DESIGN.md §4); both Grow loops are then no-ops, as
+  // |W| = cap.
+  const bool restart = wl_ == kNoJob;
+  if (restart && hinted_) {
+    if (const auto w = seed_restart_window(
+            alive_, hint_, prev_, head_, tail_, params_.window_cap,
+            [this](JobId j) { return req(j); }, hops)) {
+      wl_ = w->wl;
+      wr_ = w->wr;
+      wsize_ = params_.window_cap;
+      wreq_ = w->sum;
+    }
+  }
 
   // GrowWindowLeft(W, t, cap, R): note L_t(∅) = ∅, so an empty window skips.
   while (params_.grow_left && wl_ != kNoJob && wsize_ < params_.window_cap &&
@@ -212,6 +234,7 @@ void SosEngine::prepare_step() {
     wreq_ = util::add_checked(wreq_ - req(out), req(in));
     ++hops;
   }
+  if (restart) hint_ = wr_;
   if (obs::enabled()) stats_.window_hops += hops;
 }
 
@@ -341,6 +364,8 @@ StepInfo SosEngine::step() {
 }
 
 void SosEngine::run(Schedule& out, bool fast_forward, StepObserver* observer) {
+  hinted_ = fast_forward && params_.grow_left && params_.move_right &&
+            params_.strict;
   EngineDriver::run(*this, out, fast_forward, observer);
 }
 

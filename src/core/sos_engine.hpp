@@ -14,8 +14,11 @@
 //
 // run() executes the whole schedule with the fast-forward optimization from
 // the proof of Theorem 3.3 (skip runs of identical steps), giving the stated
-// O((m+n)·n) running time. Stepwise execution (fast_forward = false) is the
-// pseudo-polynomial reference; both produce identical schedules.
+// O((m+n)·n) running time. Fast-forward runs also resume an empty-window
+// restart at the previous restart's right end (core/window_hint.hpp).
+// Stepwise execution (fast_forward = false) and step() keep the literal
+// walk from the head and are the pseudo-polynomial reference; both produce
+// identical schedules.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +30,7 @@
 #include "core/trace.hpp"
 #include "core/types.hpp"
 #include "core/window.hpp"
+#include "core/window_hint.hpp"
 #include "util/align.hpp"
 
 namespace sharedres::core {
@@ -179,6 +183,12 @@ class SosEngine {
 
   std::size_t remaining_jobs_ = 0;
   Time now_ = 0;               // completed time steps
+
+  NextAlive alive_;            // next unfinished job in static order
+  JobId hint_ = 0;             // right end of the last empty-window restart
+  /// Seed empty-window restarts from hint_: fast-forward runs with the
+  /// production Params only (the E6 ablations keep the literal walk).
+  bool hinted_ = false;
 
   std::vector<JobId> finished_scratch_;  // apply()'s batched finish list
   RunStats stats_;

@@ -1,6 +1,7 @@
 #include "core/unit_engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "core/engine_driver.hpp"
@@ -48,26 +49,19 @@ void UnitEngine::reset(const Instance& instance) {
   prev_[head_] = head_;
   remaining_jobs_ = n;
 
-  succ_.resize(n + 1);
-  for (JobId i = 0; i <= n; ++i) succ_[i] = i;  // index n == "past the end"
+  alive_.reset(n);
 
   iota_ = kNoJob;
   cursor_ = kNoJob;
+  hint_ = 0;
+  hinted_ = false;
   now_ = 0;
   stats_ = {};  // a prior run that threw may have left stats behind
 }
 
-JobId UnitEngine::find_alive(JobId i) const {
-  while (succ_[i] != i) {
-    succ_[i] = succ_[succ_[i]];  // path halving
-    i = succ_[i];
-  }
-  return i;
-}
-
 void UnitEngine::finish(JobId j) {
   unlink(j);
-  succ_[j] = j + 1;
+  alive_.erase(j);
   --remaining_jobs_;
   if (j == iota_) iota_ = kNoJob;
 }
@@ -96,8 +90,8 @@ void UnitEngine::reposition_started(JobId j) {
   // the former Job-struct search, same upper_bound semantics.
   const std::vector<Res>& reqs = inst_->requirements();
   auto it = std::upper_bound(reqs.begin(), reqs.end(), key(j));
-  JobId f = find_alive(static_cast<JobId>(it - reqs.begin()));
-  if (f == j) f = find_alive(j + 1);  // skip the unlinked job itself
+  JobId f = alive_.find(static_cast<JobId>(it - reqs.begin()));
+  if (f == j) f = alive_.find(j + 1);  // skip the unlinked job itself
   const JobId fnode = (f >= inst_->size()) ? tail_ : f;
   const JobId p = prev_[fnode];
   next_[p] = j;
@@ -127,10 +121,26 @@ void UnitEngine::build_window(Step& plan) const {
     // counter by tests/test_sos_properties.cpp.
     if (obs::enabled()) ++stats_.window_rebuilds;
   }
-  plan.wl = plan.wr = start;
-  plan.wsize = 1;
-  plan.wkey = key(plan.wl);
   std::uint64_t hops = 0;
+  // Without ι every alive key is its static r_j and the list is in static
+  // order, so fast-forward runs seed the window the restart-from-head walk
+  // slides through at the last restart's right end (DESIGN.md §4). The
+  // Grow loops below are then no-ops, as |W| = m.
+  std::optional<SeededWindow> seeded;
+  if (iota_ == kNoJob && hinted_) {
+    seeded = seed_restart_window(alive_, hint_, prev_, head_, tail_, m_,
+                                 [this](JobId j) { return key(j); }, hops);
+  }
+  if (seeded) {
+    plan.wl = seeded->wl;
+    plan.wr = seeded->wr;
+    plan.wsize = m_;
+    plan.wkey = seeded->sum;
+  } else {
+    plan.wl = plan.wr = start;
+    plan.wsize = 1;
+    plan.wkey = key(plan.wl);
+  }
 
   // GrowWindowLeft(W, t, m, 1).
   while (plan.wsize < m_ && prev_[plan.wl] != head_ && plan.wkey < capacity_) {
@@ -197,6 +207,7 @@ bool UnitEngine::apply(const Step& planned, Time reps) {
   // Every member except possibly wr finishes; only the solo window (whose
   // share·reps never exceeds its key) runs for reps > 1.
   const JobId resume = prev_[planned.wl];
+  if (planned.fractured == kNoJob) hint_ = planned.wr;
   bool finished_any = false;
   for (const Assignment& a : planned.shares) {
     rem_[a.job] -= a.share * reps;
@@ -278,6 +289,7 @@ void UnitRunStats::publish() {
 }
 
 void UnitEngine::run(Schedule& out, bool fast_forward, StepObserver* observer) {
+  hinted_ = fast_forward;
   EngineDriver::run(*this, out, fast_forward, observer);
 }
 

@@ -20,6 +20,7 @@
 #include "core/schedule.hpp"
 #include "core/trace.hpp"
 #include "core/types.hpp"
+#include "core/window_hint.hpp"
 #include "util/align.hpp"
 
 namespace sharedres::core {
@@ -73,9 +74,12 @@ class UnitEngine {
   StepInfo step();
 
   /// Run to completion. fast_forward collapses the long solo runs of a
-  /// single high-requirement job into one block. Strong exception guarantee
-  /// for `out`: if a step throws, `out` is rolled back to its state at
-  /// entry; the engine itself is then in an unspecified (destroy-only) state.
+  /// single high-requirement job into one block and resumes the walk after
+  /// a full completion at the previous restart's right end
+  /// (core/window_hint.hpp); stepwise runs and step() keep the literal
+  /// walk. Strong exception guarantee for `out`: if a step throws, `out` is
+  /// rolled back to its state at entry; the engine itself is then in an
+  /// unspecified (destroy-only) state.
   void run(Schedule& out, bool fast_forward = true,
            StepObserver* observer = nullptr);
 
@@ -122,8 +126,6 @@ class UnitEngine {
   void unlink(JobId j);
   void finish(JobId j);
   void reposition_started(JobId j);
-  /// First alive static job with index ≥ i (next-alive DSU, path halving).
-  [[nodiscard]] JobId find_alive(JobId i) const;
 
   const Instance* inst_;
   const Res* reqs_ = nullptr;  // inst_->requirements().data() (SoA hot lane)
@@ -139,14 +141,18 @@ class UnitEngine {
   /// left of it has requirement < C (each was examined — and slid past — by
   /// an earlier walk, and keys only shrink), so GrowWindowLeft from here
   /// rebuilds exactly the window a restart-from-head walk would slide to.
-  /// This caps the total walk work at O(m) amortized per step instead of the
-  /// O(n) restart cost documented in DESIGN.md §4.
+  /// It is the stepwise walk's resume point; fast-forward runs seed the
+  /// window from hint_ instead, which skips the light windows right of the
+  /// cursor too (DESIGN.md §4).
   JobId cursor_ = kNoJob;
-  /// Next-alive successor structure (DSU with path halving) over the static
-  /// sorted job array; lets reposition_started() find its insertion point by
-  /// binary search over requirements instead of a list walk, which is
-  /// quadratic overall for small m.
-  mutable std::vector<JobId> succ_;
+  /// Right end of the last window planned without ι (a restart).
+  JobId hint_ = 0;
+  bool hinted_ = false;  ///< seed restarts from hint_ (fast-forward runs)
+  /// Next-alive index over the static sorted job array; lets
+  /// reposition_started() find its insertion point by binary search over
+  /// requirements instead of a list walk, which is quadratic overall for
+  /// small m, and locates hint_'s window.
+  NextAlive alive_;
 
   std::size_t remaining_jobs_ = 0;
   Time now_ = 0;

@@ -167,6 +167,52 @@ TEST_P(SosPropertyTest, UnitEngineCountersLinearAndDichotomous) {
   EXPECT_LE(counter_value("engine.unit.window_rebuilds"), inst.size() + 1);
 }
 
+// E3's m = 4 cells (bench_runtime's instance_for): every m-window near the
+// front is light, so a walk that restarts at the head slides across the
+// whole light prefix after each emptied window — Θ(n) hops per restart.
+// Fast-forward runs resume at the previous restart's right end instead
+// (DESIGN.md §4), which keeps the hops linear.
+Instance e3_instance(std::size_t n, core::Res max_size, std::uint64_t seed) {
+  workloads::SosConfig cfg;
+  cfg.machines = 4;
+  cfg.capacity = 1'000'000;
+  cfg.jobs = n;
+  cfg.max_size = max_size;
+  cfg.seed = seed;
+  return workloads::uniform_instance(cfg);
+}
+
+TEST(RestartHint, WindowHopsLinearAtLowM) {
+  if (!obs::enabled()) GTEST_SKIP() << "observability compiled out";
+  const Instance inst = e3_instance(16'000, 5, 42);
+  obs::Registry::global().reset_values();
+  (void)core::schedule_sos(inst);
+  const std::uint64_t steps = counter_value("engine.sos.steps");
+  EXPECT_GT(steps, 0u);
+  EXPECT_LE(counter_value("engine.sos.window_hops"), 8 * steps + inst.size());
+}
+
+TEST(RestartHint, UnitWalkHopsLinearAtLowM) {
+  if (!obs::enabled()) GTEST_SKIP() << "observability compiled out";
+  const Instance inst = e3_instance(16'000, 1, 43);
+  obs::Registry::global().reset_values();
+  (void)core::schedule_sos_unit(inst);
+  const std::uint64_t steps = counter_value("engine.unit.steps");
+  const std::uint64_t hops = counter_value("engine.unit.walk_hops");
+  EXPECT_GT(hops, 0u) << "the input must run on the walk, not the prefix "
+                         "regime";
+  EXPECT_LE(hops, 8 * steps + inst.size());
+}
+
+TEST(RestartHint, FastForwardMatchesStepwiseAtLowM) {
+  const Instance general = e3_instance(4'000, 5, 42);
+  EXPECT_EQ(core::schedule_sos(general, {.fast_forward = true}),
+            core::schedule_sos(general, {.fast_forward = false}));
+  const Instance unit = e3_instance(4'000, 1, 43);
+  EXPECT_EQ(core::schedule_sos_unit(unit, {.fast_forward = true}),
+            core::schedule_sos_unit(unit, {.fast_forward = false}));
+}
+
 TEST_P(SosPropertyTest, DeterministicCountersInvariantAcrossThreadCounts) {
   if (!obs::enabled()) GTEST_SKIP() << "observability compiled out";
   const Instance inst = make();
