@@ -337,27 +337,33 @@ std::string format_instance_record(const core::Instance& instance,
 }
 
 std::string format_result_record(const ResultRecord& record) {
-  util::Json doc{util::Json::Object{}};
-  doc.emplace("index", static_cast<std::uint64_t>(record.index));
-  if (!record.id.empty()) doc.emplace("id", record.id);
-  doc.emplace("ok", record.ok);
-  if (record.ok) {
-    doc.emplace("algorithm", record.algorithm);
-    doc.emplace("machines", record.machines);
-    doc.emplace("jobs", static_cast<std::uint64_t>(record.jobs));
-    doc.emplace("makespan", record.makespan);
-    doc.emplace("lower_bound", record.lower_bound);
-    doc.emplace("blocks", static_cast<std::uint64_t>(record.blocks));
-    if (!record.schedule_text.empty()) {
-      doc.emplace("schedule", record.schedule_text);
-    }
-  } else {
-    util::Json error{util::Json::Object{}};
-    error.emplace("code", record.error_code);
-    error.emplace("message", record.error_message);
-    doc.emplace("error", std::move(error));
+  // One pass, no DOM: keys in stream.hpp's order, Json::dump's primitives.
+  std::string out = "{\"index\":";
+  util::append_json_int(out, record.index);
+  const auto str = [&out](const char* key, const std::string& value) {
+    util::append_json_string(out += key, value);
+  };
+  const auto num = [&out](const char* key, auto value) {
+    util::append_json_int(out += key, value);
+  };
+  if (!record.id.empty()) str(",\"id\":", record.id);
+  if (!record.ok) {
+    str(",\"ok\":false,\"error\":{\"code\":", record.error_code);
+    str(",\"message\":", record.error_message);
+    out += "}}";
+    return out;
   }
-  return doc.dump();
+  str(",\"ok\":true,\"algorithm\":", record.algorithm);
+  num(",\"machines\":", record.machines);
+  num(",\"jobs\":", record.jobs);
+  num(",\"makespan\":", record.makespan);
+  num(",\"lower_bound\":", record.lower_bound);
+  num(",\"blocks\":", record.blocks);
+  if (!record.schedule_text.empty()) {
+    str(",\"schedule\":", record.schedule_text);
+  }
+  out += '}';
+  return out;
 }
 
 }  // namespace sharedres::batch

@@ -1,6 +1,5 @@
 #include "batch/worker.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -15,12 +14,6 @@
 namespace sharedres::batch {
 
 namespace {
-
-std::string schedule_text(const core::Schedule& schedule) {
-  std::ostringstream ss;
-  io::write_schedule(ss, schedule);
-  return ss.str();
-}
 
 /// Run `body`; a record-level failure (parse error, invalid instance,
 /// overflow, deadline expiry, injected fault) becomes rec's typed error
@@ -50,14 +43,9 @@ void fail_typed(ResultRecord& rec, WorkerScratch& scratch, Body&& body) {
   if (!rec.ok) scratch.metrics.counter("batch.records_failed").inc();
 }
 
-}  // namespace
-
-void solve_into(const core::Instance& inst, const std::string& algorithm,
-                WorkerScratch& scratch) {
-  core::solve(algorithms::require(algorithm), inst, scratch.engines,
-              scratch.schedule);
-}
-
+/// Shared tail of every successful solve path: the counters whose sums make
+/// up the summary line. Values are per-record facts, so cached and uncached
+/// paths bump them identically.
 void bump_ok_counters(WorkerScratch& scratch, const ResultRecord& rec) {
   scratch.metrics.counter("batch.records_ok").inc();
   scratch.metrics.counter("batch.jobs").add(rec.jobs);
@@ -66,10 +54,14 @@ void bump_ok_counters(WorkerScratch& scratch, const ResultRecord& rec) {
       static_cast<std::uint64_t>(rec.makespan));
 }
 
+/// Solve `inst` under the record's deadline (`deadline_steps` 0: the
+/// options' default) and fill the one definition of an "ok" record. The
+/// schedule text is written once, every share multiplied by `scale`: the
+/// primary-axis scale when `inst` is a canonical twin, else 1.
 void solve_record_fields(const core::Instance& inst,
                          const WorkOptions& options,
-                         std::uint64_t deadline_steps, WorkerScratch& scratch,
-                         ResultRecord& rec) {
+                         std::uint64_t deadline_steps, core::Res scale,
+                         WorkerScratch& scratch, ResultRecord& rec) {
   {
     util::deadline::Limits limits;
     limits.max_steps = deadline_steps != 0 ? deadline_steps
@@ -95,9 +87,17 @@ void solve_record_fields(const core::Instance& inst,
   rec.lower_bound = core::lower_bounds(inst).combined();
   rec.blocks = scratch.schedule.blocks().size();
   if (options.emit_schedules) {
-    rec.schedule_text = schedule_text(scratch.schedule);
+    io::append_schedule(rec.schedule_text, scratch.schedule, scale);
   }
   bump_ok_counters(scratch, rec);
+}
+
+}  // namespace
+
+void solve_into(const core::Instance& inst, const std::string& algorithm,
+                WorkerScratch& scratch) {
+  core::solve(algorithms::require(algorithm), inst, scratch.engines,
+              scratch.schedule);
 }
 
 std::optional<CachedWork> prepare_cached(const std::string& line,
@@ -135,29 +135,24 @@ std::string process_cached(CachedWork& work, std::size_t index,
         rec.lower_bound = value->lower_bound;
         rec.blocks = value->blocks;
         if (options.emit_schedules && value->schedule) {
-          rec.schedule_text = schedule_text(cache::decanonicalize_schedule(
-              *value->schedule, work.form.scale));
+          io::append_schedule(rec.schedule_text, *value->schedule,
+                              work.form.scale);
         }
         bump_ok_counters(scratch, rec);
         return;
       }
       // The producer's solve failed and abandoned the entry: solve locally
       // so this record fails (or succeeds) exactly as in a cache-off run.
-      solve_record_fields(inst, options, work.record.deadline_steps, scratch,
-                          rec);
+      solve_record_fields(inst, options, work.record.deadline_steps,
+                          /*scale=*/1, scratch, rec);
       return;
     }
-    // Producer: solve the canonical twin once, publish it, and report
-    // through this record's own scaling. The canonical schedule is the
-    // source schedule with every share divided by form.scale (exactly — see
-    // tests/test_canonical.cpp), so makespan and block structure carry over
-    // unchanged.
+    // Producer: solve the canonical twin once and publish it. Its schedule
+    // is the source's with every share divided by form.scale (exactly — see
+    // tests/test_canonical.cpp), so the record reports it scaled back.
     solve_record_fields(work.form.instance(), options,
-                        work.record.deadline_steps, scratch, rec);
-    if (options.emit_schedules) {
-      rec.schedule_text = schedule_text(
-          cache::decanonicalize_schedule(scratch.schedule, work.form.scale));
-    }
+                        work.record.deadline_steps, work.form.scale, scratch,
+                        rec);
     cache::CacheValue value;
     value.makespan = rec.makespan;
     value.lower_bound = rec.lower_bound;
@@ -178,7 +173,7 @@ std::string process_record(const std::string& line, std::size_t index,
     const InstanceRecord input = parse_instance_record(line);
     rec.id = input.id;
     solve_record_fields(input.instance, options, input.deadline_steps,
-                        scratch, rec);
+                        /*scale=*/1, scratch, rec);
   });
   if (!rec.ok && rec.id.empty()) {
     // Salvage the caller's label for the error line when the JSON itself is

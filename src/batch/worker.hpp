@@ -62,21 +62,6 @@ struct WorkOptions {
 void solve_into(const core::Instance& inst, const std::string& algorithm,
                 WorkerScratch& scratch);
 
-/// Shared tail of every successful solve path: the counters whose sums make
-/// up the summary line. Values are per-record facts, so cached and uncached
-/// paths bump them identically.
-void bump_ok_counters(WorkerScratch& scratch, const ResultRecord& rec);
-
-/// Solve `inst` locally (no cache) under the record's deadline and fill the
-/// success fields of `rec` — the one definition of what an "ok" record
-/// looks like, shared by the uncached path, the cache-producer path, and
-/// the abandoned-entry fallback. `deadline_steps` is the record's own
-/// budget (0 = fall back to options.default_deadline_steps).
-void solve_record_fields(const core::Instance& inst,
-                         const WorkOptions& options,
-                         std::uint64_t deadline_steps, WorkerScratch& scratch,
-                         ResultRecord& rec);
-
 /// Process one input line into its formatted result line. Record-level
 /// problems (parse errors, invalid instances, overflow, deadline expiry,
 /// injected faults) become "ok":false lines and processing continues; only
@@ -110,8 +95,8 @@ struct CachedWork {
 /// Cached counterpart of process_record for records Pipeline::submit
 /// successfully prepared. The output line is byte-identical to what
 /// process_record would emit: makespan, lower bound, block structure, and
-/// (de-canonicalized) schedule text are all invariant across the canonical
-/// equivalence class.
+/// schedule text (the canonical schedule written with its shares scaled
+/// back) are all invariant across the canonical equivalence class.
 [[nodiscard]] std::string process_cached(CachedWork& work, std::size_t index,
                                          const WorkOptions& options,
                                          WorkerScratch& scratch);

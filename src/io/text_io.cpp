@@ -9,6 +9,7 @@
 #include "obs/registry.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/json.hpp"
 
 namespace sharedres::io {
 
@@ -206,17 +207,26 @@ core::Instance read_instance(std::istream& is) {
   return core::Instance(machines, std::move(capacities), std::move(jobs));
 }
 
-void write_schedule(std::ostream& os, const core::Schedule& schedule) {
+void append_schedule(std::string& out, const core::Schedule& schedule,
+                     core::Res scale) {
   SHAREDRES_OBS_COUNT("io.schedules_written");
-  os << "# sharedres schedule v1\n";
-  os << "blocks " << schedule.blocks().size() << "\n";
+  out += "# sharedres schedule v1\nblocks ";
+  util::append_json_int(out, schedule.blocks().size());
   for (const core::Block& block : schedule.blocks()) {
-    os << "block " << block.length << " " << block.assignments.size();
+    util::append_json_int(out += "\nblock ", block.length);
+    util::append_json_int(out += ' ', block.assignments.size());
     for (const core::Assignment& a : block.assignments) {
-      os << " " << a.job << ":" << a.share;
+      util::append_json_int(out += ' ', a.job);
+      util::append_json_int(out += ':', util::mul_checked(a.share, scale));
     }
-    os << "\n";
   }
+  out += '\n';
+}
+
+void write_schedule(std::ostream& os, const core::Schedule& schedule) {
+  std::string text;
+  append_schedule(text, schedule);
+  os << text;
 }
 
 core::Schedule read_schedule(std::istream& is) {

@@ -54,6 +54,11 @@ namespace sharedres::io {
 void write_instance(std::ostream& os, const core::Instance& instance);
 [[nodiscard]] core::Instance read_instance(std::istream& is);
 
+/// Append the schedule text to `out`, every share multiplied by `scale`
+/// (checked): a cached canonical schedule written as its source's own.
+/// write_schedule streams the same text.
+void append_schedule(std::string& out, const core::Schedule& schedule,
+                     core::Res scale = 1);
 void write_schedule(std::ostream& os, const core::Schedule& schedule);
 [[nodiscard]] core::Schedule read_schedule(std::istream& is);
 

@@ -29,37 +29,12 @@ void expect_type(Json::Type have, Json::Type want) {
   }
 }
 
-void dump_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through unescaped
-        }
-    }
-  }
-  out += '"';
-}
-
 void dump_number(double v, std::string& out) {
   if (!std::isfinite(v)) fail("Json: cannot serialize NaN/Inf");
   // Integral values within the exact-double range print without a fraction
   // so counters (threads, reps, makespans) stay integers on disk.
   if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
+    append_json_int(out, static_cast<std::int64_t>(v));
     return;
   }
   char buf[32];
@@ -259,8 +234,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void dump_value(const Json& v, int indent, int depth, std::string& out);
-
 void newline_indent(int indent, int depth, std::string& out) {
   if (indent < 0) return;
   out += '\n';
@@ -268,41 +241,65 @@ void newline_indent(int indent, int depth, std::string& out) {
              ' ');
 }
 
-void dump_value(const Json& v, int indent, int depth, std::string& out) {
-  switch (v.type()) {
-    case Json::Type::kNull: out += "null"; return;
-    case Json::Type::kBool: out += v.as_bool() ? "true" : "false"; return;
-    case Json::Type::kNumber: dump_number(v.as_double(), out); return;
-    case Json::Type::kString: dump_string(v.as_string(), out); return;
-    case Json::Type::kArray: {
-      const auto& arr = v.as_array();
-      if (arr.empty()) {
+}  // namespace
+
+void append_json_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  std::size_t run = 0;  // first byte not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;  // UTF-8 passes through
+    out.append(s, run, i - run) += '\\';
+    run = i + 1;
+    switch (c) {
+      case '\n': out += 'n'; break;
+      case '\r': out += 'r'; break;
+      case '\t': out += 't'; break;
+      case '"': case '\\': out += static_cast<char>(c); break;
+      default:
+        out.append("u00").append(1, kHex[c >> 4]).append(1, kHex[c & 0xF]);
+    }
+  }
+  out.append(s, run) += '"';
+}
+
+void Json::dump_to(std::string& out, int indent, int depth) const {
+  switch (type_) {
+    case Type::kNull: out += "null"; return;
+    case Type::kBool: out += bool_ ? "true" : "false"; return;
+    case Type::kNumber:
+      if (rep_ == Rep::kInt) return append_json_int(out, int_);
+      if (rep_ == Rep::kUint) return append_json_int(out, uint_);
+      return dump_number(num_, out);
+    case Type::kString: append_json_string(out, str_); return;
+    case Type::kArray: {
+      if (arr_.empty()) {
         out += "[]";
         return;
       }
       out += '[';
-      for (std::size_t i = 0; i < arr.size(); ++i) {
+      for (std::size_t i = 0; i < arr_.size(); ++i) {
         if (i != 0) out += ',';
         newline_indent(indent, depth + 1, out);
-        dump_value(arr[i], indent, depth + 1, out);
+        arr_[i].dump_to(out, indent, depth + 1);
       }
       newline_indent(indent, depth, out);
       out += ']';
       return;
     }
-    case Json::Type::kObject: {
-      const auto& obj = v.as_object();
-      if (obj.empty()) {
+    case Type::kObject: {
+      if (obj_.empty()) {
         out += "{}";
         return;
       }
       out += '{';
-      for (std::size_t i = 0; i < obj.size(); ++i) {
+      for (std::size_t i = 0; i < obj_.size(); ++i) {
         if (i != 0) out += ',';
         newline_indent(indent, depth + 1, out);
-        dump_string(obj[i].first, out);
+        append_json_string(out, obj_[i].first);
         out += indent < 0 ? ":" : ": ";
-        dump_value(obj[i].second, indent, depth + 1, out);
+        obj_[i].second.dump_to(out, indent, depth + 1);
       }
       newline_indent(indent, depth, out);
       out += '}';
@@ -311,8 +308,6 @@ void dump_value(const Json& v, int indent, int depth, std::string& out) {
   }
 }
 
-}  // namespace
-
 bool Json::as_bool() const {
   expect_type(type_, Type::kBool);
   return bool_;
@@ -320,7 +315,8 @@ bool Json::as_bool() const {
 
 double Json::as_double() const {
   expect_type(type_, Type::kNumber);
-  return num_;
+  if (rep_ == Rep::kInt) return static_cast<double>(int_);
+  return rep_ == Rep::kUint ? static_cast<double>(uint_) : num_;
 }
 
 const std::string& Json::as_string() const {
@@ -381,7 +377,11 @@ bool Json::operator==(const Json& other) const {
   switch (type_) {
     case Type::kNull: return true;
     case Type::kBool: return bool_ == other.bool_;
-    case Type::kNumber: return num_ == other.num_;
+    case Type::kNumber:  // a built 3 equals a parsed 3.0
+      if (rep_ != Rep::kDouble && rep_ == other.rep_) {
+        return rep_ == Rep::kInt ? int_ == other.int_ : uint_ == other.uint_;
+      }
+      return as_double() == other.as_double();
     case Type::kString: return str_ == other.str_;
     case Type::kArray: return arr_ == other.arr_;
     case Type::kObject: return obj_ == other.obj_;
@@ -391,7 +391,7 @@ bool Json::operator==(const Json& other) const {
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_value(*this, indent, 0, out);
+  dump_to(out, indent, 0);
   return out;
 }
 

@@ -10,9 +10,12 @@
 // duplicate keys on parse.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,6 +31,17 @@ class JsonError : public Error {
   explicit JsonError(const std::string& what) : Error(ErrorCode::kParse, what) {}
 };
 
+/// Append `s` as a quoted JSON string ('"', '\\' and control bytes escaped,
+/// UTF-8 passed through): Json::dump's escaper, shared with direct writers.
+void append_json_string(std::string& out, std::string_view s);
+
+/// Append the exact decimal text of an integer, as Json::dump prints one.
+template <std::integral Int>
+void append_json_int(std::string& out, Int value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -41,16 +55,15 @@ class Json {
   Json(bool b) : type_(Type::kBool), bool_(b) {}  // NOLINT
   Json(double d) : type_(Type::kNumber), num_(d) {}  // NOLINT
   Json(std::int64_t i)  // NOLINT
-      : type_(Type::kNumber), num_(static_cast<double>(i)) {}
+      : type_(Type::kNumber), rep_(Rep::kInt), int_(i) {}
   Json(std::uint64_t u)  // NOLINT
-      : type_(Type::kNumber), num_(static_cast<double>(u)) {}
-  Json(int i) : type_(Type::kNumber), num_(i) {}  // NOLINT
+      : type_(Type::kNumber), rep_(Rep::kUint), uint_(u) {}
+  Json(int i) : Json(std::int64_t{i}) {}  // NOLINT
   Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}  // NOLINT
   Json(const char* s) : type_(Type::kString), str_(s) {}             // NOLINT
   Json(Array a) : type_(Type::kArray), arr_(std::move(a)) {}         // NOLINT
   Json(Object o) : type_(Type::kObject), obj_(std::move(o)) {}       // NOLINT
 
-  [[nodiscard]] Type type() const { return type_; }
   [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
   [[nodiscard]] bool is_bool() const { return type_ == Type::kBool; }
   [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
@@ -78,24 +91,32 @@ class Json {
   /// Append a key to an object value (must be an object; key not checked).
   void emplace(std::string key, Json value);
 
-  /// Structural equality (object key ORDER matters, matching the dumper).
+  /// Structural equality (object key ORDER matters, matching the dumper);
+  /// C++20 derives operator!= from it.
   [[nodiscard]] bool operator==(const Json& other) const;
-  [[nodiscard]] bool operator!=(const Json& other) const {
-    return !(*this == other);
-  }
 
   /// Serialize. indent < 0: compact single line; indent >= 0: pretty-printed
-  /// with that many spaces per level. Doubles print with enough digits to
-  /// round-trip; integral values in the exact-double range print as integers.
+  /// with that many spaces per level. Integers print exactly; doubles with
+  /// enough digits to round-trip (integral ones below 2^53 as integers).
   [[nodiscard]] std::string dump(int indent = -1) const;
 
   /// Strict parse of a complete JSON document (trailing garbage is an error).
   static Json parse(const std::string& text);
 
  private:
+  /// A kNumber's member of the numeric slot: integers stay exact there.
+  enum class Rep : std::uint8_t { kDouble, kInt, kUint };
+
+  void dump_to(std::string& out, int indent, int depth) const;
+
   Type type_;
-  bool bool_ = false;
-  double num_ = 0.0;
+  Rep rep_ = Rep::kDouble;  // in type_'s padding: sizeof(Json) is unchanged
+  union {
+    bool bool_;
+    double num_ = 0.0;
+    std::int64_t int_;
+    std::uint64_t uint_;
+  };
   std::string str_;
   Array arr_;
   Object obj_;

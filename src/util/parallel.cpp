@@ -85,21 +85,6 @@ void WorkerPool::submit(std::function<void(std::size_t)> task) {
   not_empty_.notify_one();
 }
 
-bool WorkerPool::try_submit(std::function<void(std::size_t)>& task,
-                            std::size_t high_water) {
-  const std::size_t mark =
-      high_water == 0 ? capacity_ : std::min(high_water, capacity_);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) throw std::logic_error("WorkerPool::try_submit after close");
-    if (queue_.size() >= mark) return false;
-    SHAREDRES_OBS_COUNT("pool.tasks_submitted");
-    queue_.push_back(std::move(task));
-  }
-  not_empty_.notify_one();
-  return true;
-}
-
 std::size_t WorkerPool::pending() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();

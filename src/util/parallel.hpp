@@ -112,14 +112,6 @@ class WorkerPool {
   /// if the pool is already closed.
   void submit(std::function<void(std::size_t worker)> task);
 
-  /// Non-blocking submit: enqueue only if the queue currently holds fewer
-  /// than `high_water` pending tasks (0 = use the pool's capacity). Returns
-  /// false — leaving `task` untouched — when the queue is at or above the
-  /// mark, so a load-shedding caller can reject instead of stalling. Throws
-  /// std::logic_error if the pool is already closed.
-  [[nodiscard]] bool try_submit(std::function<void(std::size_t worker)>& task,
-                                std::size_t high_water = 0);
-
   /// Tasks currently queued but not yet picked up by a worker. A snapshot —
   /// stale by the time the caller acts on it — so only useful for gauges and
   /// coarse admission decisions, never for synchronization.

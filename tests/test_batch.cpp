@@ -151,6 +151,57 @@ TEST(BatchStream, ResultRecordFormatsOkAndErrorShapes) {
   EXPECT_EQ(bad_doc.at("error").at("code").as_string(), "parse");
   EXPECT_EQ(bad_doc.at("error").at("message").as_string(), "boom");
   EXPECT_FALSE(bad_doc.contains("makespan"));
+
+  // Byte equality with the line a util::Json DOM dumps for the same fields,
+  // on escape-heavy strings, a schedule text and a makespan no double holds.
+  const std::string nasty = "q\"b\\n\nt\tc\x01\x1fu\u00e9\u2192";
+  const auto reference = [](const ResultRecord& r) {
+    util::Json doc{util::Json::Object{}};
+    doc.emplace("index", static_cast<std::uint64_t>(r.index));
+    if (!r.id.empty()) doc.emplace("id", r.id);
+    doc.emplace("ok", r.ok);
+    if (r.ok) {
+      doc.emplace("algorithm", r.algorithm);
+      doc.emplace("machines", r.machines);
+      doc.emplace("jobs", static_cast<std::uint64_t>(r.jobs));
+      doc.emplace("makespan", r.makespan);
+      doc.emplace("lower_bound", r.lower_bound);
+      doc.emplace("blocks", static_cast<std::uint64_t>(r.blocks));
+      if (!r.schedule_text.empty()) doc.emplace("schedule", r.schedule_text);
+    } else {
+      util::Json error{util::Json::Object{}};
+      error.emplace("code", r.error_code);
+      error.emplace("message", r.error_message);
+      doc.emplace("error", std::move(error));
+    }
+    return doc.dump();
+  };
+  EXPECT_EQ(format_result_record(ok), reference(ok));
+  EXPECT_EQ(format_result_record(bad), reference(bad));
+  ok.id = nasty;
+  ok.makespan = (std::int64_t{1} << 53) + 1;
+  ok.lower_bound = std::int64_t{1} << 53;
+  ok.schedule_text = "# sharedres schedule v1\nblocks 1\nblock " +
+                     std::to_string(ok.makespan) + " 1 0:1\n";
+  const std::string ok_line = format_result_record(ok);
+  EXPECT_EQ(ok_line, reference(ok));
+  EXPECT_NE(ok_line.find(R"("makespan":9007199254740993,)"
+                         R"("lower_bound":9007199254740992,)"),
+            std::string::npos)
+      << ok_line;
+  EXPECT_NE(ok_line.find(R"("id":"q\"b\\n\nt\tc\u0001\u001fu)"),
+            std::string::npos)
+      << ok_line;
+  EXPECT_EQ(util::Json::parse(ok_line).at("schedule").as_string(),
+            ok.schedule_text);
+  bad.id = nasty;
+  bad.error_message = nasty + " at \"x\"";
+  const std::string bad_line = format_result_record(bad);
+  EXPECT_EQ(bad_line, reference(bad));
+  const util::Json bad_back = util::Json::parse(bad_line);
+  EXPECT_EQ(bad_back.at("id").as_string(), nasty);
+  EXPECT_EQ(bad_back.at("error").at("message").as_string(),
+            bad.error_message);
 }
 
 // ---- pipeline --------------------------------------------------------------
@@ -355,6 +406,37 @@ TEST(BatchPipeline, EmitSchedulesEmbedsTheOneShotScheduleText) {
   io::write_schedule(expected, core::schedule_sos(inst));
   const util::Json doc = util::Json::parse(output_lines(text)[0]);
   EXPECT_EQ(doc.at("schedule").as_string(), expected.str());
+}
+
+TEST(BatchPipeline, MakespansAboveTwoToThe53PrintExactly) {
+  // Sizes up to 2^53 parse and Instance totals are checked int64, so both
+  // records are valid; their makespans and the sum are not doubles.
+  const std::vector<std::string> lines = {
+      R"({"machines":2,"capacity":1,"jobs":[[9000000000000001,1],)"
+      R"([9000000000000000,1]]})",
+      R"({"machines":2,"capacity":1,"jobs":[[9007199254740992,1],[2,1]]})"};
+  for (const std::size_t cache : {std::size_t{0}, std::size_t{4}}) {
+    BatchOptions options;
+    options.emit_schedules = true;
+    options.cache_capacity = cache;
+    const auto [text, summary] = run(lines, options);
+    const std::vector<std::string> out = output_lines(text);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_NE(out[0].find(R"("makespan":18000000000000001,)"
+                          R"("lower_bound":18000000000000001,)"),
+              std::string::npos)
+        << out[0];
+    EXPECT_NE(out[1].find(R"("makespan":9007199254740994,)"),
+              std::string::npos)
+        << out[1];
+    EXPECT_EQ(summary.makespan_sum, 27007199254740995u);
+    EXPECT_NE(out[2].find(R"("makespan_sum":27007199254740995,)"),
+              std::string::npos)
+        << out[2];
+    EXPECT_NE(out[2].find(R"("batch.makespan_sum":27007199254740995)"),
+              std::string::npos)
+        << out[2];
+  }
 }
 
 TEST(BatchPipeline, SkipsBlankLinesWithoutConsumingIndices) {

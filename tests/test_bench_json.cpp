@@ -3,7 +3,9 @@
 // scripts/check_bench_regression.py.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,6 +50,40 @@ TEST(Json, IntegralNumbersPrintWithoutFraction) {
   doc.emplace("n", 12345);
   EXPECT_EQ(doc.dump(), "{\"n\":12345}");
   EXPECT_EQ(Json(0.5).dump(), "0.5");
+}
+
+// Integers share the double's slot and the tag sits in padding: exact
+// integers cost the DOM no size.
+static_assert(sizeof(Json) == 2 * sizeof(std::uint64_t) + sizeof(std::string) +
+                                  sizeof(Json::Array) + sizeof(Json::Object));
+
+TEST(Json, IntegersPrintExactlyBeyondTheDoubleRange) {
+  const std::int64_t above = (std::int64_t{1} << 53) + 1;
+  EXPECT_EQ(Json(above).dump(), "9007199254740993");
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::min()).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(Json(std::numeric_limits<std::uint64_t>::max()).dump(),
+            "18446744073709551615");
+  EXPECT_EQ(Json(std::uint64_t{27007199254740995}).dump(),
+            "27007199254740995");
+  // Parsed numbers stay doubles and compare by value with built integers.
+  EXPECT_EQ(Json::parse("3"), Json(3));
+  EXPECT_EQ(Json::parse("3"), Json(std::uint64_t{3}));
+  EXPECT_NE(Json(above), Json(above - 1));
+  EXPECT_EQ(Json(above).as_double(), static_cast<double>(above));
+}
+
+TEST(Json, SharedPrimitivesMatchDump) {
+  const std::string text("q\"b\\ \n\r\t\x01\x1f\x7f \xc3\xa9");
+  std::string out;
+  util::append_json_string(out, text);
+  EXPECT_EQ(out, R"("q\"b\\ \n\r\t\u0001\u001f)" "\x7f \xc3\xa9\"");
+  EXPECT_EQ(out, Json(text).dump());
+  EXPECT_EQ(Json::parse(out).as_string(), text);
+  out.clear();
+  util::append_json_int(out, -17);
+  util::append_json_int(out, std::size_t{42});
+  EXPECT_EQ(out, "-1742");
 }
 
 TEST(Json, ParserRejectsMalformedInput) {

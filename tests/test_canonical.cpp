@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <random>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "core/lower_bounds.hpp"
 #include "core/multires_scheduler.hpp"
 #include "core/sos_scheduler.hpp"
+#include "io/text_io.hpp"
 #include "workloads/sos_generators.hpp"
 
 namespace sharedres {
@@ -198,12 +201,22 @@ TEST(Canonical, DecanonicalizeRoundTrip) {
   // source schedule exactly — the identity the cached emit-schedules path
   // depends on for byte-identical output.
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const Instance inst = workloads::tiny_grid_instance(3, 9, 6, 4, seed);
-    const CanonicalForm form = canonicalize(inst);
-    EXPECT_EQ(
-        decanonicalize_schedule(core::schedule_sos(form.instance()),
-                                form.scale),
-        core::schedule_sos(inst));
+    const Instance grid = workloads::tiny_grid_instance(3, 9, 6, 4, seed);
+    // The ×3 twin guarantees a scale > 1 whatever the grid's own gcd.
+    for (const Instance& inst : {grid, scaled(grid, 3)}) {
+      const CanonicalForm form = canonicalize(inst);
+      const Schedule canonical = core::schedule_sos(form.instance());
+      EXPECT_EQ(decanonicalize_schedule(canonical, form.scale),
+                core::schedule_sos(inst));
+      // The cache's writer scales while printing: the same text as printing
+      // the decanonicalized copy.
+      std::string text;
+      io::append_schedule(text, canonical, form.scale);
+      std::ostringstream reference;
+      io::write_schedule(reference,
+                         decanonicalize_schedule(canonical, form.scale));
+      EXPECT_EQ(text, reference.str()) << "seed " << seed;
+    }
   }
 }
 

@@ -6,10 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
-#include <functional>
-#include <mutex>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -257,52 +254,8 @@ TEST(WorkerPool, SubmissionAfterDrainBeginsThrowsWithoutRunning) {
   EXPECT_THROW(
       pool.submit([&late_ran](std::size_t) { late_ran.store(true); }),
       std::logic_error);
-  std::function<void(std::size_t)> task = [&late_ran](std::size_t) {
-    late_ran.store(true);
-  };
-  EXPECT_THROW((void)pool.try_submit(task), std::logic_error);
   EXPECT_TRUE(pool.closed());
   EXPECT_FALSE(late_ran.load());
-}
-
-TEST(WorkerPool, TrySubmitShedsAtTheHighWaterMark) {
-  // A blocked worker (gated on a condition variable) pins the queue so the
-  // admission decisions below are deterministic, not timing-dependent.
-  std::mutex m;
-  std::condition_variable cv;
-  bool release = false;
-  bool entered = false;
-  WorkerPool pool(1, 8);
-  pool.submit([&](std::size_t) {
-    std::unique_lock<std::mutex> lock(m);
-    entered = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-  });
-  {
-    // Wait until the worker holds the gate task: the queue is now empty and
-    // stays empty until we enqueue more.
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return entered; });
-  }
-  EXPECT_EQ(pool.pending(), 0u);
-  std::function<void(std::size_t)> task = [](std::size_t) {};
-  EXPECT_TRUE(pool.try_submit(task, /*high_water=*/2));   // depth 0 -> 1
-  task = [](std::size_t) {};
-  EXPECT_TRUE(pool.try_submit(task, /*high_water=*/2));   // depth 1 -> 2
-  task = [](std::size_t) {};
-  EXPECT_FALSE(pool.try_submit(task, /*high_water=*/2));  // at the mark: shed
-  EXPECT_TRUE(task != nullptr);  // a shed task is handed back, not consumed
-  EXPECT_EQ(pool.pending(), 2u);
-  // high_water == 0 falls back to full queue capacity (8): admitted again.
-  EXPECT_TRUE(pool.try_submit(task));
-  {
-    const std::lock_guard<std::mutex> lock(m);
-    release = true;
-  }
-  cv.notify_all();
-  pool.close();
-  EXPECT_EQ(pool.pending(), 0u);
 }
 
 }  // namespace
